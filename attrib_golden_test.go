@@ -2,6 +2,7 @@ package speculate_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -31,7 +32,7 @@ func TestAttributionGolden(t *testing.T) {
 			}
 			cfg := machine.PolyFlowConfig()
 			cfg.Attribution = attrib.NewTable()
-			res, err := b.RunNamed("postdoms", cfg)
+			res, err := b.RunNamedContext(context.Background(), "postdoms", cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

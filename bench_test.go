@@ -6,6 +6,7 @@
 package speculate_test
 
 import (
+	"context"
 	"testing"
 
 	"repro"
@@ -123,7 +124,7 @@ func ablate(b *testing.B, benchName string, mutate func(*machine.Config)) {
 	mutate(&cfg)
 	var ipc float64
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunPolicy(core.PolicyPostdoms, cfg)
+		res, err := bench.RunNamedContext(context.Background(), core.PolicyPostdoms.Name, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +236,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunSuperscalar(); err != nil {
+		if _, err := bench.RunNamedContext(context.Background(), "superscalar", machine.SuperscalarConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,6 +24,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -114,11 +115,11 @@ func drive(src string, run, simulate bool) (err error) {
 	}
 	fmt.Printf("%d static instrs, %d dynamic instrs, %d spawn points\n",
 		len(prog.Code), bench.Trace.Len(), len(bench.Analysis.Spawns))
-	base, err := bench.RunSuperscalar()
+	base, err := bench.RunNamedContext(context.Background(), "superscalar", machine.SuperscalarConfig())
 	if err != nil {
 		return err
 	}
-	res, err := bench.RunPolicy(core.PolicyPostdoms, machine.PolyFlowConfig())
+	res, err := bench.RunNamedContext(context.Background(), core.PolicyPostdoms.Name, machine.PolyFlowConfig())
 	if err != nil {
 		return err
 	}

@@ -159,7 +159,7 @@ func run(ctx context.Context, benchName, policyName string, tasks int, verbose b
 		cfg := machine.SuperscalarConfig()
 		cfg.Telemetry = col
 		cfg.Attribution = tbl
-		base, err := b.RunSuperscalarContext(ctx, cfg)
+		base, err := b.RunNamedContext(ctx, "superscalar", cfg)
 		if err != nil {
 			return err
 		}
@@ -167,7 +167,7 @@ func run(ctx context.Context, benchName, policyName string, tasks int, verbose b
 		return finish(col, tbl, b.Name, policyName, base, traceFile, metrics, attribFile)
 	}
 
-	base, err := b.RunSuperscalarContext(ctx, machine.SuperscalarConfig())
+	base, err := b.RunNamedContext(ctx, "superscalar", machine.SuperscalarConfig())
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package speculate_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestSchedulerDifferential(t *testing.T) {
 			t.Run(name+"/"+pol, func(t *testing.T) {
 				cfg := machine.PolyFlowConfig()
 				cfg.Attribution = attrib.NewTable()
-				event, err := b.RunNamed(pol, cfg)
+				event, err := b.RunNamedContext(context.Background(), pol, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -44,7 +45,7 @@ func TestSchedulerDifferential(t *testing.T) {
 
 				cfg.PolledScheduler = true
 				cfg.Attribution = attrib.NewTable()
-				polled, err := b.RunNamed(pol, cfg)
+				polled, err := b.RunNamedContext(context.Background(), pol, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

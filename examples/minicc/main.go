@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -71,12 +72,12 @@ func main() {
 	}
 	fmt.Println()
 
-	base, err := bench.RunSuperscalar()
+	base, err := bench.RunNamedContext(context.Background(), "superscalar", machine.SuperscalarConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, p := range []core.Policy{core.PolicyHammock, core.PolicyProcFT, core.PolicyPostdoms} {
-		res, err := bench.RunPolicy(p, machine.PolyFlowConfig())
+		res, err := bench.RunNamedContext(context.Background(), p.Name, machine.PolyFlowConfig())
 		if err != nil {
 			log.Fatal(err)
 		}

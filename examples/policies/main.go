@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -21,7 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := bench.RunSuperscalar()
+	base, err := bench.RunNamedContext(context.Background(), "superscalar", machine.SuperscalarConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func main() {
 
 	fmt.Printf("%-24s %9s %8s %9s %9s\n", "policy", "speedup%", "spawns", "squashes", "avgTasks")
 	for _, p := range policies {
-		res, err := bench.RunPolicy(p, machine.PolyFlowConfig())
+		res, err := bench.RunNamedContext(context.Background(), p.Name, machine.PolyFlowConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func main() {
 			speculate.SpeedupPct(base, res), res.SpawnsTaken, res.Violations,
 			float64(res.TaskCycles)/float64(res.Cycles))
 	}
-	rec, err := bench.RunRecPred(machine.PolyFlowConfig())
+	rec, err := bench.RunNamedContext(context.Background(), "rec_pred", machine.PolyFlowConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

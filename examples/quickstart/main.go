@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -58,14 +59,14 @@ func main() {
 			s.Kind, prog.SymbolFor(s.From), prog.SymbolFor(s.Target))
 	}
 
-	base, err := bench.RunSuperscalar()
+	base, err := bench.RunNamedContext(context.Background(), "superscalar", machine.SuperscalarConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsuperscalar: %6d cycles, IPC %.2f, %d mispredicts\n",
 		base.Cycles, base.IPC, base.Mispredicts)
 
-	res, err := bench.RunPolicy(core.PolicyPostdoms, machine.PolyFlowConfig())
+	res, err := bench.RunNamedContext(context.Background(), core.PolicyPostdoms.Name, machine.PolyFlowConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

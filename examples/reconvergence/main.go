@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -57,15 +58,15 @@ func main() {
 	fmt.Println("  (mismatches and unserved branches are the approximation gap the paper")
 	fmt.Println("   attributes to warm-up and hard-to-identify reconvergences)")
 
-	base, err := bench.RunSuperscalar()
+	base, err := bench.RunNamedContext(context.Background(), "superscalar", machine.SuperscalarConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	post, err := bench.RunPolicy(core.PolicyPostdoms, machine.PolyFlowConfig())
+	post, err := bench.RunNamedContext(context.Background(), core.PolicyPostdoms.Name, machine.PolyFlowConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec, err := bench.RunRecPred(machine.PolyFlowConfig())
+	rec, err := bench.RunNamedContext(context.Background(), "rec_pred", machine.PolyFlowConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ if-thens; the inner latch's loopFT spawn starts the next outer-iteration
 tail — together they recover the inner- and outer-loop iteration spawns
 (9da0->9dd8 and 9d60->9f28 in the paper's addresses).`)
 
-	base, err := bench.RunSuperscalar()
+	base, err := bench.RunNamedContext(context.Background(), "superscalar", machine.SuperscalarConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +46,7 @@ tail — together they recover the inner- and outer-loop iteration spawns
 	for _, p := range []core.Policy{
 		core.PolicyLoop, core.PolicyLoopFT, core.PolicyHammock, core.PolicyPostdoms,
 	} {
-		res, err := bench.RunPolicy(p, machine.PolyFlowConfig())
+		res, err := bench.RunNamedContext(context.Background(), p.Name, machine.PolyFlowConfig())
 		if err != nil {
 			log.Fatal(err)
 		}

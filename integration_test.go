@@ -4,6 +4,7 @@
 package speculate_test
 
 import (
+	"context"
 	"testing"
 
 	"repro"
@@ -29,12 +30,12 @@ func TestEveryWorkloadEveryPolicyRetiresExactly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := b.RunSuperscalar()
+			base, err := b.RunNamedContext(context.Background(), "superscalar", machine.SuperscalarConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range policies {
-				res, err := b.RunPolicy(p, machine.PolyFlowConfig())
+				res, err := b.RunNamedContext(context.Background(), p.Name, machine.PolyFlowConfig())
 				if err != nil {
 					t.Fatalf("%s: %v", p.Name, err)
 				}
@@ -109,11 +110,11 @@ func TestSimulationIsDeterministic(t *testing.T) {
 	if w1.Trace.Len() != w2.Trace.Len() {
 		t.Fatalf("trace lengths differ: %d vs %d", w1.Trace.Len(), w2.Trace.Len())
 	}
-	r1, err := w1.RunPolicy(core.PolicyPostdoms, machine.PolyFlowConfig())
+	r1, err := w1.RunNamedContext(context.Background(), core.PolicyPostdoms.Name, machine.PolyFlowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := w2.RunPolicy(core.PolicyPostdoms, machine.PolyFlowConfig())
+	r2, err := w2.RunNamedContext(context.Background(), core.PolicyPostdoms.Name, machine.PolyFlowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestEmulatedResultsSurviveSimulation(t *testing.T) {
 		t.Fatal("gzip trace has no stores")
 	}
 	before := b.Trace.Entries[lastStore.idx]
-	if _, err := b.RunPolicy(core.PolicyPostdoms, machine.PolyFlowConfig()); err != nil {
+	if _, err := b.RunNamedContext(context.Background(), core.PolicyPostdoms.Name, machine.PolyFlowConfig()); err != nil {
 		t.Fatal(err)
 	}
 	if b.Trace.Entries[lastStore.idx] != before {

@@ -28,7 +28,7 @@ func computeArtifact(t *testing.T, b *speculate.Bench, key artifact.Key) []byte 
 	cfg := machine.PolyFlowConfig()
 	tbl := attrib.NewTable()
 	cfg.Attribution = tbl
-	res, err := b.RunPolicyContext(context.Background(), p, cfg)
+	res, err := b.RunNamedContext(context.Background(), p.Name, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

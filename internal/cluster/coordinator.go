@@ -290,7 +290,7 @@ func (c *Coordinator) RunCell(ctx context.Context, req server.Request) ([]byte, 
 func (c *Coordinator) runCell(ctx context.Context, cell *Cell) ([]byte, bool, error) {
 	req := cell.Req
 	job := jobqueue.Job{ID: "cell/" + req.Bench + "/" + req.Policy, Priority: req.Priority, Payload: cell}
-	h, err := c.submitWait(ctx, job)
+	h, err := c.pool.SubmitWait(ctx, job)
 	if err != nil {
 		return nil, false, err
 	}
@@ -301,25 +301,6 @@ func (c *Coordinator) runCell(ctx context.Context, cell *Cell) ([]byte, bool, er
 		return nil, false, err
 	}
 	return cell.Data, cell.CacheHit, nil
-}
-
-// submitWait enqueues on the dispatch pool, absorbing transient queue-full
-// rejections (the pool drains at cluster speed).
-func (c *Coordinator) submitWait(ctx context.Context, job jobqueue.Job) (*jobqueue.Handle, error) {
-	for {
-		h, err := c.pool.Submit(job)
-		if err == nil {
-			return h, nil
-		}
-		if !errors.Is(err, jobqueue.ErrQueueFull) {
-			return nil, err
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
 }
 
 // ringKeyFor maps a bench to its trace-artifact key hash — the same

@@ -11,11 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"repro"
 	"repro/internal/artifact"
@@ -208,77 +206,47 @@ func (o Options) pool(depth int) (*jobqueue.Pool, bool) {
 	return jobqueue.New(jobqueue.Config{Workers: workers, QueueDepth: depth, BaseContext: o.ctx()}), true
 }
 
-// submitWait submits to pool, waiting out transient ErrQueueFull — batch
-// grids may be wider than a shared pool's queue bound, and unlike served
-// traffic they would rather wait than shed load.
-func submitWait(ctx context.Context, pool *jobqueue.Pool, job jobqueue.Job) (*jobqueue.Handle, error) {
-	for {
-		h, err := pool.Submit(job)
-		if err == nil {
-			return h, nil
+// runCell runs one (bench, column) cell. Remote grids run it as a
+// polyflowd job (Client.Run) and cached local grids through
+// speculate.RunCell, the one cached-cell path polyflowd and the tuner
+// share; both decode the same sim artifact, so local and remote grids are
+// byte-identical. Uncached grids, and cells that export traces (tracing
+// needs a live run), simulate live with o's observers attached.
+func (o Options) runCell(ctx context.Context, b *speculate.Bench, colName string) (machine.Result, error) {
+	var (
+		data []byte
+		err  error
+	)
+	switch {
+	case o.Remote != nil:
+		if o.TraceDir != "" {
+			return machine.Result{}, errors.New("harness: -trace-dir needs a live local run, not a remote grid")
 		}
-		if !errors.Is(err, jobqueue.ErrQueueFull) {
-			return nil, fmt.Errorf("job %s: %w", job.ID, err)
+		req := server.Request{Bench: b.Name, Policy: colName}
+		if o.SpawnMask.Len() > 0 && colName != "superscalar" {
+			req.SpawnMask = o.SpawnMask.Encode()
 		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(time.Millisecond):
+		var st server.Status
+		data, st, err = o.Remote.Run(ctx, req)
+		if o.Logger != nil {
+			o.Logger.Debug("remote cell finished", "component", "harness",
+				"bench", b.Name, "policy", colName, "job_id", st.ID, "trace_id", st.TraceID, "state", st.State)
 		}
+	case o.Cache != nil && o.TraceDir == "":
+		data, _, err = speculate.RunCell(ctx, b, o.Cache, colName, o.SpawnMask, 0, nil)
+	default:
+		return o.runCellLive(ctx, b, colName)
 	}
-}
-
-// runCell simulates one (bench, column) cell, going through the artifact
-// cache when one is attached: a hit decodes the stored artifact instead of
-// running the pipeline, and a miss computes with attribution attached so
-// the stored artifact always carries its report. Cells that export traces
-// (or whose inputs are uncacheable) run live.
-func (o Options) runCell(ctx context.Context, b *speculate.Bench, colName string, baseCfg machine.Config,
-	sim func(ctx context.Context, cfg machine.Config) (machine.Result, error)) (machine.Result, error) {
-
-	if o.SpawnMask.Len() > 0 && colName != "superscalar" {
-		baseCfg.SpawnMask = o.SpawnMask
-	}
-	if o.Remote != nil {
-		return o.runCellRemote(ctx, b.Name, colName)
-	}
-	if o.Cache == nil || o.TraceDir != "" {
-		return o.runCellLive(ctx, b, colName, baseCfg, sim)
-	}
-	key, err := artifact.NewSimKey(b.Name, b.SourceSHA, b.MaxInstrs, colName, baseCfg)
-	if errors.Is(err, artifact.ErrUncacheable) {
-		return o.runCellLive(ctx, b, colName, baseCfg, sim)
-	}
-	if err != nil {
-		return machine.Result{}, err
-	}
-	compute := func(ctx context.Context) ([]byte, error) {
-		cfg := baseCfg
-		tbl := attrib.NewTable()
-		cfg.Attribution = tbl
-		res, err := sim(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := machine.VerifyAttribution(tbl, res); err != nil {
-			return nil, err
-		}
-		rep := attrib.NewReport(tbl, b.Name, colName, res.Config, res.Cycles, res.Retired)
-		return artifact.EncodeSim(&artifact.SimArtifact{Key: key, Result: res, Attrib: rep})
-	}
-	data, _, err := o.Cache.GetOrCompute(ctx, key.Hash(), compute)
 	if err != nil {
 		return machine.Result{}, err
 	}
 	art, err := artifact.DecodeSim(data)
 	if err != nil {
-		return machine.Result{}, err
+		return machine.Result{}, fmt.Errorf("decoding %s/%s: %w", b.Name, colName, err)
 	}
 	if o.AttribDir != "" {
 		if art.Attrib == nil {
-			// Stored by a producer that skipped attribution; a live run is
-			// the only way to get the report.
-			return o.runCellLive(ctx, b, colName, baseCfg, sim)
+			return machine.Result{}, fmt.Errorf("artifact for %s/%s carries no attribution report", b.Name, colName)
 		}
 		if err := o.writeAttrib(b.Name, colName, art.Attrib); err != nil {
 			return machine.Result{}, err
@@ -287,77 +255,17 @@ func (o Options) runCell(ctx context.Context, b *speculate.Bench, colName string
 	return art.Result, nil
 }
 
-// runCellRemote executes one cell as a job on the remote daemon and
-// decodes the returned sim artifact — the same bytes a local cached run
-// would decode, so remote and local grids are byte-identical. 429s from a
-// saturated queue are waited out: a batch grid would rather wait than
-// shed cells.
-func (o Options) runCellRemote(ctx context.Context, bench, colName string) (machine.Result, error) {
-	if o.TraceDir != "" {
-		return machine.Result{}, errors.New("harness: -trace-dir needs a live local run, not a remote grid")
-	}
-	req := server.Request{Bench: bench, Policy: colName}
-	if o.SpawnMask.Len() > 0 && colName != "superscalar" {
-		req.SpawnMask = o.SpawnMask.Encode()
-	}
-	var st server.Status
-	for {
-		var code int
-		var err error
-		st, code, err = o.Remote.Submit(ctx, req)
-		if err == nil {
-			break
-		}
-		if code != http.StatusTooManyRequests {
-			return machine.Result{}, fmt.Errorf("submitting %s/%s: %w", bench, colName, err)
-		}
-		select {
-		case <-ctx.Done():
-			return machine.Result{}, ctx.Err()
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	if o.Logger != nil {
-		o.Logger.Debug("remote cell submitted", "component", "harness",
-			"bench", bench, "policy", colName, "job_id", st.ID, "trace_id", st.TraceID)
-	}
-	fin, err := o.Remote.Wait(ctx, st.ID, 5*time.Millisecond)
-	if err != nil {
-		return machine.Result{}, fmt.Errorf("waiting on %s/%s: %w", bench, colName, err)
-	}
-	if fin.State != "succeeded" {
-		return machine.Result{}, fmt.Errorf("remote job %s (%s/%s) %s: %s", st.ID, bench, colName, fin.State, fin.Error)
-	}
-	data, err := o.Remote.ResultBytes(ctx, st.ID)
-	if err != nil {
-		return machine.Result{}, fmt.Errorf("fetching result of %s/%s: %w", bench, colName, err)
-	}
-	art, err := artifact.DecodeSim(data)
-	if err != nil {
-		return machine.Result{}, fmt.Errorf("decoding result of %s/%s: %w", bench, colName, err)
-	}
-	if o.AttribDir != "" {
-		if art.Attrib == nil {
-			return machine.Result{}, fmt.Errorf("remote artifact for %s/%s carries no attribution report", bench, colName)
-		}
-		if err := o.writeAttrib(bench, colName, art.Attrib); err != nil {
-			return machine.Result{}, err
-		}
-	}
-	return art.Result, nil
-}
-
 // runCellLive simulates one cell with o's observers attached and exports
-// its files.
-func (o Options) runCellLive(ctx context.Context, b *speculate.Bench, colName string, baseCfg machine.Config,
-	sim func(ctx context.Context, cfg machine.Config) (machine.Result, error)) (machine.Result, error) {
-
-	cfg := baseCfg
+// its files. RunNamedContext builds the superscalar baseline's own
+// config, so the PolyFlow config here serves every column.
+func (o Options) runCellLive(ctx context.Context, b *speculate.Bench, colName string) (machine.Result, error) {
+	cfg := machine.PolyFlowConfig()
+	cfg.SpawnMask = o.SpawnMask
 	col := o.collector()
 	cfg.Telemetry = col
 	tbl := o.attribTable()
 	cfg.Attribution = tbl
-	res, err := sim(ctx, cfg)
+	res, err := b.RunNamedContext(ctx, colName, cfg)
 	if err != nil {
 		return res, err
 	}
@@ -428,7 +336,7 @@ func benchesNamed(o Options, names []string) ([]*speculate.Bench, error) {
 	handles := make([]*jobqueue.Handle, len(wanted))
 	for i, name := range wanted {
 		i, name := i, name
-		h, err := submitWait(o.ctx(), pool, jobqueue.Job{
+		h, err := pool.SubmitWait(o.ctx(), jobqueue.Job{
 			ID: "prepare/" + name,
 			Fn: func(ctx context.Context) error {
 				b, _, err := speculate.LoadCached(name, o.traceCache())
@@ -481,7 +389,7 @@ func runGrid(o Options, benches []*speculate.Bench, colNames []string,
 		k := k
 		i, c := k/cols, k%cols
 		b := benches[i]
-		h, err := submitWait(o.ctx(), pool, jobqueue.Job{
+		h, err := pool.SubmitWait(o.ctx(), jobqueue.Job{
 			ID: "cell/" + b.Name + "/" + colNames[c],
 			Fn: func(ctx context.Context) error {
 				r, err := run(ctx, b, c)
@@ -517,10 +425,7 @@ func baselines(o Options, benches []*speculate.Bench) ([]machine.Result, error) 
 	bo.TraceDir, bo.AttribDir = "", ""
 	grid, err := runGrid(bo, benches, []string{"superscalar"},
 		func(ctx context.Context, b *speculate.Bench, _ int) (machine.Result, error) {
-			return bo.runCell(ctx, b, "superscalar", machine.SuperscalarConfig(),
-				func(ctx context.Context, cfg machine.Config) (machine.Result, error) {
-					return b.RunSuperscalarContext(ctx, cfg)
-				})
+			return bo.runCell(ctx, b, "superscalar")
 		})
 	if err != nil {
 		return nil, err
@@ -598,25 +503,16 @@ func colWidth(name string) int {
 	return len(name)
 }
 
-// speedupTable runs the given policy columns over the selected benchmarks.
-// extra, when non-nil, appends one column computed outside the static
-// policy set (e.g. the dynamic reconvergence predictor); it receives the
-// cell's machine configuration with any observers already attached.
-func speedupTable(title string, policies []core.Policy,
-	extra func(ctx context.Context, b *speculate.Bench, cfg machine.Config) (machine.Result, error),
-	extraName string, o Options) (*SpeedupTable, error) {
-
-	var kept []core.Policy
-	for _, p := range policies {
-		if o.wantPolicy(p.Name) {
-			kept = append(kept, p)
+// speedupTable runs the named columns (static policies, "rec_pred") over
+// the selected benchmarks.
+func speedupTable(title string, columns []string, o Options) (*SpeedupTable, error) {
+	var colNames []string
+	for _, name := range columns {
+		if o.wantPolicy(name) {
+			colNames = append(colNames, name)
 		}
 	}
-	policies = kept
-	if extra != nil && !o.wantPolicy(extraName) {
-		extra = nil
-	}
-	if len(policies) == 0 && extra == nil {
+	if len(colNames) == 0 {
 		return nil, fmt.Errorf("harness: no policy matches %q in %s", o.Policies, title)
 	}
 	benches, err := benchesNamed(o, o.Benches)
@@ -627,22 +523,9 @@ func speedupTable(title string, policies []core.Policy,
 	if err != nil {
 		return nil, err
 	}
-	colNames := make([]string, 0, len(policies)+1)
-	for _, p := range policies {
-		colNames = append(colNames, p.Name)
-	}
-	if extra != nil {
-		colNames = append(colNames, extraName)
-	}
 	grid, err := runGrid(o, benches, colNames,
 		func(ctx context.Context, b *speculate.Bench, c int) (machine.Result, error) {
-			return o.runCell(ctx, b, colNames[c], machine.PolyFlowConfig(),
-				func(ctx context.Context, cfg machine.Config) (machine.Result, error) {
-					if c < len(policies) {
-						return b.RunPolicyContext(ctx, policies[c], cfg)
-					}
-					return extra(ctx, b, cfg)
-				})
+			return o.runCell(ctx, b, colNames[c])
 		})
 	if err != nil {
 		return nil, err
@@ -676,7 +559,7 @@ func Figure9() (*SpeedupTable, error) { return Figure9Opts(Options{}) }
 func Figure9Opts(o Options) (*SpeedupTable, error) {
 	return speedupTable(
 		"Figure 9: Individual heuristic policies (speedup % over superscalar)",
-		core.IndividualPolicies(), nil, "", o)
+		policyNames(core.IndividualPolicies()), o)
 }
 
 // Figure10 evaluates the heuristic combination policies against postdoms.
@@ -686,7 +569,7 @@ func Figure10() (*SpeedupTable, error) { return Figure10Opts(Options{}) }
 func Figure10Opts(o Options) (*SpeedupTable, error) {
 	return speedupTable(
 		"Figure 10: Combination heuristics (speedup % over superscalar)",
-		core.CombinationPolicies(), nil, "", o)
+		policyNames(core.CombinationPolicies()), o)
 }
 
 // Figure12 evaluates dynamic reconvergence prediction against
@@ -697,10 +580,16 @@ func Figure12() (*SpeedupTable, error) { return Figure12Opts(Options{}) }
 func Figure12Opts(o Options) (*SpeedupTable, error) {
 	return speedupTable(
 		"Figure 12: Reconvergence-predictor spawning vs compiler postdominators",
-		[]core.Policy{core.PolicyPostdoms},
-		func(ctx context.Context, b *speculate.Bench, cfg machine.Config) (machine.Result, error) {
-			return b.RunRecPredContext(ctx, cfg)
-		}, "rec_pred", o)
+		[]string{"postdoms", "rec_pred"}, o)
+}
+
+// policyNames lists the policies' names, in order.
+func policyNames(policies []core.Policy) []string {
+	names := make([]string, len(policies))
+	for i, p := range policies {
+		names[i] = p.Name
+	}
+	return names
 }
 
 // LossTable is the Figure 11 result: per-benchmark loss in percent speedup
@@ -760,25 +649,18 @@ func Figure11Opts(o Options) (*LossTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	policies := []core.Policy{core.PolicyPostdoms}
+	colNames := []string{core.PolicyPostdoms.Name}
 	for _, p := range core.ExclusionPolicies() {
 		if o.wantPolicy(p.Name) {
-			policies = append(policies, p)
+			colNames = append(colNames, p.Name)
 		}
 	}
-	if len(policies) == 1 {
+	if len(colNames) == 1 {
 		return nil, fmt.Errorf("harness: no exclusion policy matches %q in Figure 11", o.Policies)
-	}
-	colNames := make([]string, len(policies))
-	for i, p := range policies {
-		colNames[i] = p.Name
 	}
 	grid, err := runGrid(o, benches, colNames,
 		func(ctx context.Context, b *speculate.Bench, c int) (machine.Result, error) {
-			return o.runCell(ctx, b, colNames[c], machine.PolyFlowConfig(),
-				func(ctx context.Context, cfg machine.Config) (machine.Result, error) {
-					return b.RunPolicyContext(ctx, policies[c], cfg)
-				})
+			return o.runCell(ctx, b, colNames[c])
 		})
 	if err != nil {
 		return nil, err
@@ -787,8 +669,8 @@ func Figure11Opts(o Options) (*LossTable, error) {
 	for _, b := range benches {
 		t.Benches = append(t.Benches, b.Name)
 	}
-	for e := 1; e < len(policies); e++ {
-		t.Exclusions = append(t.Exclusions, policies[e].Name)
+	for e := 1; e < len(colNames); e++ {
+		t.Exclusions = append(t.Exclusions, colNames[e])
 		row := make([]float64, len(benches))
 		for i := range benches {
 			row[i] = speculate.LossPct(base[i], grid[i][0], grid[i][e])

@@ -7,9 +7,10 @@
 // Semantics:
 //
 //   - Submit never blocks. A full queue returns ErrQueueFull (the caller
-//     turns that into HTTP 429 or retries); a draining pool returns
-//     ErrDraining. Accepted jobs always finish: their Handle's Done channel
-//     closes exactly once with the job's final state.
+//     turns that into HTTP 429, or waits it out with SubmitWait); a
+//     draining pool returns ErrDraining. Accepted jobs always finish:
+//     their Handle's Done channel closes exactly once with the job's final
+//     state.
 //   - Higher Priority runs first; equal priorities run in submission order.
 //   - Every job runs under a context derived from the pool's base context,
 //     with the job's Timeout (when positive) applied. Handle.Cancel cancels
@@ -301,6 +302,26 @@ func (p *Pool) Submit(j Job) (*Handle, error) {
 	heap.Push(&p.queue, h)
 	p.cond.Signal()
 	return h, nil
+}
+
+// SubmitWait is Submit for batch callers that would rather wait than shed
+// load: ErrQueueFull is retried until the job is accepted or ctx ends.
+// Any other rejection is returned, labeled with the job's ID.
+func (p *Pool) SubmitWait(ctx context.Context, j Job) (*Handle, error) {
+	for {
+		h, err := p.Submit(j)
+		if err == nil {
+			return h, nil
+		}
+		if !errors.Is(err, ErrQueueFull) {
+			return nil, fmt.Errorf("job %s: %w", j.ID, err)
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(time.Millisecond):
+		}
+	}
 }
 
 // Stats snapshots the pool's accounting.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -70,6 +71,49 @@ func TestBackpressureRejectsWhenFull(t *testing.T) {
 	close(release)
 	if err := blocker.Wait(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSubmitWaitRidesOutFullQueue: SubmitWait retries ErrQueueFull until
+// a slot frees, gives up when its context ends, and labels any other
+// rejection with the job's ID.
+func TestSubmitWaitRidesOutFullQueue(t *testing.T) {
+	p := New(Config{Workers: 1, QueueDepth: 1})
+	defer p.Close()
+	release := make(chan struct{})
+	started := make(chan struct{})
+	blocker := submit(t, p, Job{ID: "blocker", Fn: func(ctx context.Context) error {
+		close(started)
+		<-release
+		return nil
+	}})
+	<-started
+	noop := func(ctx context.Context) error { return nil }
+	submit(t, p, Job{ID: "q1", Fn: noop})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := p.SubmitWait(ctx, Job{ID: "late", Fn: noop}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("SubmitWait on a stuck full queue = %v, want DeadlineExceeded", err)
+	}
+
+	time.AfterFunc(20*time.Millisecond, func() { close(release) })
+	h, err := p.SubmitWait(context.Background(), Job{ID: "q2", Fn: noop})
+	if err != nil {
+		t.Fatalf("SubmitWait after the queue drains: %v", err)
+	}
+	for _, h := range []*Handle{blocker, h} {
+		if err := h.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, err = p.SubmitWait(context.Background(), Job{ID: "drained", Fn: noop})
+	if !errors.Is(err, ErrDraining) || !strings.Contains(err.Error(), "drained") {
+		t.Fatalf("SubmitWait on a draining pool = %v, want ErrDraining labeled with the job ID", err)
 	}
 }
 

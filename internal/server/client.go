@@ -214,6 +214,48 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (Statu
 	}
 }
 
+// runPoll paces Run: both its 429 back-off and its status polls.
+const runPoll = 5 * time.Millisecond
+
+// Run executes one job to completion and returns its artifact bytes with
+// the job's terminal status: it submits req, waits out HTTP 429 (a batch
+// caller would rather wait than shed load) until ctx ends, waits for the
+// job, and fetches the result. A job that ends in any state other than
+// succeeded is an error. The harness's remote grids and the remote tuner
+// both run cells through it, so they see the bytes a local RunCell would
+// produce.
+func (c *Client) Run(ctx context.Context, req Request) ([]byte, Status, error) {
+	var st Status
+	for {
+		var code int
+		var err error
+		st, code, err = c.Submit(ctx, req)
+		if err == nil {
+			break
+		}
+		if code != http.StatusTooManyRequests {
+			return nil, st, fmt.Errorf("submitting %s/%s: %w", req.Bench, req.Policy, err)
+		}
+		select {
+		case <-ctx.Done():
+			return nil, st, ctx.Err()
+		case <-time.After(runPoll):
+		}
+	}
+	fin, err := c.Wait(ctx, st.ID, runPoll)
+	if err != nil {
+		return nil, fin, fmt.Errorf("waiting on job %s (%s/%s): %w", st.ID, req.Bench, req.Policy, err)
+	}
+	if fin.State != "succeeded" {
+		return nil, fin, fmt.Errorf("job %s (%s/%s) %s: %s", st.ID, req.Bench, req.Policy, fin.State, fin.Error)
+	}
+	data, err := c.ResultBytes(ctx, st.ID)
+	if err != nil {
+		return nil, fin, fmt.Errorf("fetching result of job %s (%s/%s): %w", st.ID, req.Bench, req.Policy, err)
+	}
+	return data, fin, nil
+}
+
 // Result fetches and decodes a succeeded job's simulation artifact.
 func (c *Client) Result(ctx context.Context, id string) (*artifact.SimArtifact, error) {
 	var raw []byte

@@ -34,14 +34,12 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro"
 	"repro/internal/artifact"
-	"repro/internal/attrib"
 	"repro/internal/jobqueue"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -377,68 +375,20 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// baseConfig is the canonical machine configuration for the named runnable
-// policy — the same one the harness figure grids use, so server jobs and
-// `experiments -cache-dir` runs share cache entries.
-func baseConfig(policy string) machine.Config {
-	if policy == "superscalar" {
-		return machine.SuperscalarConfig()
-	}
-	return machine.PolyFlowConfig()
-}
-
-// simulate is the default Runner: the canonical simulation pipeline behind
-// the artifact cache. The compute path always attaches attribution, so
-// every stored artifact carries its report; a cache hit decodes to bytes
-// identical to a fresh run (internal/artifact's correctness sweep holds the
-// two paths equal).
+// simulate is the default Runner: speculate.RunCell behind the server's
+// artifact cache — the same cell path the harness grids and the local
+// tuner take, so server jobs and `experiments -cache-dir` runs share cache
+// entries byte for byte.
 func (s *Server) simulate(ctx context.Context, req Request, progress ProgressFunc) ([]byte, bool, error) {
 	b, err := s.bench(ctx, req.Bench)
 	if err != nil {
 		return nil, false, err
 	}
-	baseCfg := baseConfig(req.Policy)
-	baseCfg.SampleInterval = req.SampleInterval
 	mask, err := machine.ParseSpawnMask(req.SpawnMask)
 	if err != nil {
 		return nil, false, err
 	}
-	baseCfg.SpawnMask = mask
-	key, err := artifact.NewSimKey(b.Name, b.SourceSHA, b.MaxInstrs, req.Policy, baseCfg)
-	if err != nil {
-		return nil, false, err
-	}
-	// Spans are recorded against the submitting request's trace even inside
-	// the singleflighted compute (a deduped concurrent caller simply sees a
-	// cache_lookup hit without inner spans).
-	spanCtx := ctx
-	compute := func(ctx context.Context) ([]byte, error) {
-		cfg := baseCfg
-		if progress != nil {
-			cfg.OnSample = progress
-		}
-		tbl := attrib.NewTable()
-		cfg.Attribution = tbl
-		endSim := obs.StartSpan(spanCtx, "simulate")
-		res, err := b.RunNamedContext(ctx, req.Policy, cfg)
-		if err != nil {
-			endSim.End("error", "true")
-			return nil, err
-		}
-		endSim.End("cycles", strconv.FormatInt(res.Cycles, 10))
-		if err := machine.VerifyAttribution(tbl, res); err != nil {
-			return nil, err
-		}
-		rep := attrib.NewReport(tbl, b.Name, req.Policy, res.Config, res.Cycles, res.Retired)
-		endEnc := obs.StartSpan(spanCtx, "artifact_encode")
-		data, err := artifact.EncodeSim(&artifact.SimArtifact{Key: key, Result: res, Attrib: rep})
-		endEnc.End()
-		return data, err
-	}
-	endLookup := obs.StartSpan(ctx, "cache_lookup")
-	data, hit, err := s.cache.GetOrCompute(ctx, key.Hash(), compute)
-	endLookup.End("hit", strconv.FormatBool(hit))
-	return data, hit, err
+	return speculate.RunCell(ctx, b, s.cache, req.Policy, mask, req.SampleInterval, progress)
 }
 
 // validate rejects malformed requests before they consume a queue slot.

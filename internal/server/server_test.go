@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -122,6 +123,40 @@ func TestBackpressure429(t *testing.T) {
 	// Capacity freed: submissions are accepted again.
 	if _, code, err = c.Submit(ctx, Request{Bench: "twolf", Policy: "postdoms"}); err != nil || code != http.StatusAccepted {
 		t.Fatalf("post-drain submit: code=%d err=%v", code, err)
+	}
+}
+
+// TestClientRunWaitsOut429: Run rides out a full queue instead of
+// failing, returns the succeeded job's bytes with its terminal status, and
+// turns a job that ends in any other state into an error.
+func TestClientRunWaitsOut429(t *testing.T) {
+	gate := make(chan struct{})
+	pool := jobqueue.New(jobqueue.Config{Workers: 1, QueueDepth: 1})
+	_, c := newTestServer(t, Config{Pool: pool, Runner: stubRunner([]byte("x"), gate)})
+	ctx := context.Background()
+	a, _, err := c.Submit(ctx, Request{Bench: "gzip", Policy: "postdoms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, a.ID, "running")
+	if _, _, err := c.Submit(ctx, Request{Bench: "mcf", Policy: "postdoms"}); err != nil {
+		t.Fatal(err)
+	}
+	time.AfterFunc(50*time.Millisecond, func() { close(gate) })
+	data, st, err := c.Run(ctx, Request{Bench: "twolf", Policy: "postdoms"})
+	if err != nil {
+		t.Fatalf("Run through a full queue: %v", err)
+	}
+	if string(data) != "x" || st.State != "succeeded" {
+		t.Fatalf("Run = %q, state %q; want \"x\", succeeded", data, st.State)
+	}
+
+	failing := func(ctx context.Context, req Request, progress ProgressFunc) ([]byte, bool, error) {
+		return nil, false, errors.New("boom")
+	}
+	_, c = newTestServer(t, Config{Runner: failing})
+	if _, st, err := c.Run(ctx, Request{Bench: "gzip", Policy: "postdoms"}); err == nil || st.State != "failed" {
+		t.Fatalf("Run of a failing job: state %q, err %v; want failed and an error", st.State, err)
 	}
 }
 

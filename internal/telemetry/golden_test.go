@@ -7,6 +7,7 @@ package telemetry_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -61,7 +62,7 @@ func exportTinyTrace(t *testing.T) []byte {
 	col := telemetry.NewCollector(telemetry.Config{TraceEvents: telemetry.DefaultTraceEvents})
 	cfg := machine.PolyFlowConfig()
 	cfg.Telemetry = col
-	res, err := bench.RunPolicy(core.PolicyPostdoms, cfg)
+	res, err := bench.RunNamedContext(context.Background(), core.PolicyPostdoms.Name, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,9 @@ import (
 )
 
 // Reader decodes a polyflow-trace/1 stream. A Reader built with NewReader
-// consumes its io.Reader once (Load or Replay, not both); one built with
-// Open seeks the ReaderAt from the start on every call, so the same Reader
-// can eagerly Load and lazily Replay any number of times without holding
-// the decoded trace in memory between uses.
+// consumes its io.Reader once; one built with Open reads the ReaderAt from
+// the start on every Load, so the same Reader can Load any number of times
+// without holding the serialized bytes in memory.
 type Reader struct {
 	r    io.Reader
 	ra   io.ReaderAt
@@ -25,12 +24,11 @@ type Reader struct {
 }
 
 // NewReader wraps a sequential stream. The stream is consumed by the first
-// Load or Replay call.
+// Load.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
 // Open wraps a random-access source of the given size (a file, an mmap, a
-// bytes.Reader over a cached artifact); every Load/Replay decodes from the
-// start.
+// bytes.Reader over a cached artifact); every Load decodes from the start.
 func Open(ra io.ReaderAt, size int64) *Reader { return &Reader{ra: ra, size: size} }
 
 // Decode eagerly parses a complete in-memory artifact. The bytes are
@@ -113,10 +111,7 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 				return nil, nil, corruptf("undersized entry frame is not last")
 			}
 			prevEntryCount = count
-			if err := decodeEntries(payload, int(count), func(e *trace.Entry) bool {
-				entries = append(entries, *e)
-				return true
-			}); err != nil {
+			if entries, err = decodeEntries(entries, payload, int(count)); err != nil {
 				return nil, nil, err
 			}
 		case kindOcc:
@@ -196,73 +191,7 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 	}
 }
 
-// Replay streams the entry section with bounded memory: fn is called once
-// per entry, in order, with a reused Entry (copy it if retained); returning
-// false stops the replay early with a nil error. Frame checksums are
-// verified as they stream by; the occurrence and dependence sections are
-// checksummed and skipped, not decoded.
-func (r *Reader) Replay(fn func(i int, e *trace.Entry) bool) error {
-	p, err := r.parser()
-	if err != nil {
-		return err
-	}
-	if err := p.header(); err != nil {
-		return err
-	}
-	n := 0
-	stopped := false
-	sawIndex := false
-	prevEntryCount := uint64(chunkEntries)
-	for {
-		kind, count, payload, err := p.frame()
-		if err != nil {
-			return err
-		}
-		switch kind {
-		case kindEntries:
-			if sawIndex {
-				return corruptf("entry frame after index sections")
-			}
-			if count == 0 || count > chunkEntries {
-				return corruptf("entry frame count %d out of range", count)
-			}
-			if prevEntryCount != chunkEntries {
-				return corruptf("undersized entry frame is not last")
-			}
-			prevEntryCount = count
-			if stopped {
-				continue
-			}
-			if err := decodeEntries(payload, int(count), func(e *trace.Entry) bool {
-				keep := fn(n, e)
-				n++
-				if !keep {
-					stopped = true
-				}
-				return keep
-			}); err != nil {
-				return err
-			}
-		case kindOcc, kindDeps:
-			sawIndex = true // checksummed by p.frame, content skipped
-		case kindEnd:
-			if !sawIndex {
-				return corruptf("end frame before index sections")
-			}
-			if !stopped && count != uint64(n) {
-				return corruptf("end frame declares %d entries, streamed %d", count, n)
-			}
-			if len(payload) != 0 {
-				return corruptf("end frame carries %d payload bytes", len(payload))
-			}
-			return p.expectEOF()
-		default:
-			return corruptf("unknown frame kind %#x", kind)
-		}
-	}
-}
-
-// parser is the frame-level decoder shared by Load and Replay. It runs in
+// parser is the frame-level decoder behind Load. It runs in
 // one of two modes: streaming (br set, payloads read into a reused buffer)
 // or in-memory (data set, payloads returned as zero-copy subslices).
 type parser struct {
@@ -395,40 +324,39 @@ func (p *parser) expectEOF() error {
 	return nil
 }
 
-// decodeEntries parses one entry frame, invoking sink per entry; sink
-// returning false aborts the frame (not an error).
-func decodeEntries(payload []byte, count int, sink func(*trace.Entry) bool) error {
+// decodeEntries parses one entry frame, appending its entries to dst.
+func decodeEntries(dst []trace.Entry, payload []byte, count int) ([]trace.Entry, error) {
 	pos := 0
 	var prevPC, prevAddr uint64
 	var e trace.Entry
 	for j := 0; j < count; j++ {
 		if pos+2 > len(payload) {
-			return corruptf("entry %d: truncated flags/op", j)
+			return nil, corruptf("entry %d: truncated flags/op", j)
 		}
 		e = trace.Entry{Flags: payload[pos], Op: isa.Op(payload[pos+1])}
 		pos += 2
 		d, next, err := svarintAt(payload, pos)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		pos = next
 		e.PC = prevPC + uint64(d)
 		prevPC = e.PC
 		d, next, err = svarintAt(payload, pos)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		pos = next
 		e.Next = e.PC + isa.InstSize + uint64(d)
 		if e.IsLoad() || e.IsStore() {
 			if pos >= len(payload) {
-				return corruptf("entry %d: truncated memory width", j)
+				return nil, corruptf("entry %d: truncated memory width", j)
 			}
 			e.MemW = payload[pos]
 			pos++
 			d, next, err = svarintAt(payload, pos)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			pos = next
 			e.Addr = prevAddr + uint64(d)
@@ -436,41 +364,39 @@ func decodeEntries(payload []byte, count int, sink func(*trace.Entry) bool) erro
 		}
 		if e.HasDst() {
 			if pos >= len(payload) {
-				return corruptf("entry %d: truncated destination", j)
+				return nil, corruptf("entry %d: truncated destination", j)
 			}
 			if payload[pos] >= isa.NumRegs {
-				return corruptf("entry %d: destination register %d out of range", j, payload[pos])
+				return nil, corruptf("entry %d: destination register %d out of range", j, payload[pos])
 			}
 			e.Dst = isa.Reg(payload[pos])
 			pos++
 		}
 		if pos >= len(payload) {
-			return corruptf("entry %d: truncated source count", j)
+			return nil, corruptf("entry %d: truncated source count", j)
 		}
 		nsrc := payload[pos]
 		pos++
 		if nsrc > 2 {
-			return corruptf("entry %d: source count %d exceeds 2", j, nsrc)
+			return nil, corruptf("entry %d: source count %d exceeds 2", j, nsrc)
 		}
 		if pos+int(nsrc) > len(payload) {
-			return corruptf("entry %d: truncated sources", j)
+			return nil, corruptf("entry %d: truncated sources", j)
 		}
 		e.NSrc = nsrc
 		for k := 0; k < int(nsrc); k++ {
 			if payload[pos] >= isa.NumRegs {
-				return corruptf("entry %d: source register %d out of range", j, payload[pos])
+				return nil, corruptf("entry %d: source register %d out of range", j, payload[pos])
 			}
 			e.Srcs[k] = isa.Reg(payload[pos])
 			pos++
 		}
-		if !sink(&e) {
-			return nil
-		}
+		dst = append(dst, e)
 	}
 	if pos != len(payload) {
-		return corruptf("entry frame carries %d trailing bytes", len(payload)-pos)
+		return nil, corruptf("entry frame carries %d trailing bytes", len(payload)-pos)
 	}
-	return nil
+	return dst, nil
 }
 
 // decodeOcc parses one occurrence frame into occ, validating each list

@@ -111,40 +111,6 @@ func TestRoundtripWorkloads(t *testing.T) {
 	}
 }
 
-func TestReplayStreamsEntries(t *testing.T) {
-	tr, d := realTrace(t, "gzip", 20000)
-	data, err := Encode(tr, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := Open(bytes.NewReader(data), int64(len(data)))
-	var got []trace.Entry
-	if err := r.Replay(func(i int, e *trace.Entry) bool {
-		if i != len(got) {
-			t.Fatalf("index %d out of order (want %d)", i, len(got))
-		}
-		got = append(got, *e) // e is reused; copy
-		return true
-	}); err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if !reflect.DeepEqual(got, tr.Entries) {
-		t.Fatalf("replayed entries differ")
-	}
-
-	// Early stop; the same Open reader replays again from the start.
-	n := 0
-	if err := r.Replay(func(i int, e *trace.Entry) bool {
-		n++
-		return n < 10
-	}); err != nil {
-		t.Fatalf("early-stop Replay: %v", err)
-	}
-	if n != 10 {
-		t.Fatalf("early stop visited %d entries, want 10", n)
-	}
-}
-
 func TestSequentialReaderSingleUse(t *testing.T) {
 	tr, d := synthTrace()
 	data, err := Encode(tr, d)

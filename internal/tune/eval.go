@@ -15,15 +15,11 @@ package tune
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/http"
-	"time"
 
 	"repro"
 	"repro/internal/artifact"
 	"repro/internal/attrib"
-	"repro/internal/jobqueue"
 	"repro/internal/machine"
 	"repro/internal/server"
 )
@@ -43,11 +39,12 @@ type Evaluator interface {
 	Evaluate(ctx context.Context, mask *machine.SpawnMask) (Outcome, error)
 }
 
-// LocalEvaluator simulates in-process, mirroring the polyflowd compute
-// path: attribution is always attached and verified, and results are
-// memoized in the artifact cache when one is configured and the bench is
-// cacheable (registered workloads are; ad-hoc benches without a SourceSHA
-// run uncached).
+// LocalEvaluator simulates in-process through speculate.RunCell — the
+// cell path polyflowd and the harness grids take — so a local evaluation
+// has the same cache identity and artifact bytes as a served one.
+// Results are memoized in the artifact cache when one is configured and
+// the bench is cacheable (registered workloads are; ad-hoc benches without
+// a SourceSHA run uncached).
 type LocalEvaluator struct {
 	Bench  *speculate.Bench
 	Policy string
@@ -55,156 +52,46 @@ type LocalEvaluator struct {
 	// content-addressed identity the daemon and the harness use — a tuning
 	// run against a warm cache replays instead of resimulating.
 	Cache *artifact.Cache
-	// Pool, when non-nil, runs each evaluation as a jobqueue job so tuning
-	// shares the scheduling discipline (and worker bound) of served
-	// traffic. A full queue is waited out, not an error.
-	Pool *jobqueue.Pool
 }
 
-// Evaluate runs one candidate. The config is the canonical PolyFlow
-// configuration — the same one polyflowd and the harness grids use — so
-// cache identities line up across all three entry points.
+// Evaluate runs one candidate.
 func (e *LocalEvaluator) Evaluate(ctx context.Context, mask *machine.SpawnMask) (Outcome, error) {
-	if e.Pool != nil {
-		return e.evaluateOnPool(ctx, mask)
-	}
-	return e.evaluate(ctx, mask)
-}
-
-func (e *LocalEvaluator) evaluate(ctx context.Context, mask *machine.SpawnMask) (Outcome, error) {
-	baseCfg := machine.PolyFlowConfig()
-	baseCfg.SpawnMask = mask
-
-	// The compute closure mirrors polyflowd's: the same key is embedded in
-	// the artifact, so a tuning run and a served job against a shared cache
-	// directory produce byte-identical entries.
-	key, keyErr := artifact.NewSimKey(e.Bench.Name, e.Bench.SourceSHA, e.Bench.MaxInstrs, e.Policy, baseCfg)
-	if keyErr != nil && !errors.Is(keyErr, artifact.ErrUncacheable) {
-		return Outcome{}, keyErr
-	}
-	compute := func(ctx context.Context) ([]byte, error) {
-		cfg := baseCfg
-		tbl := attrib.NewTable()
-		cfg.Attribution = tbl
-		res, err := e.Bench.RunNamedContext(ctx, e.Policy, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := machine.VerifyAttribution(tbl, res); err != nil {
-			return nil, err
-		}
-		rep := attrib.NewReport(tbl, e.Bench.Name, e.Policy, res.Config, res.Cycles, res.Retired)
-		return artifact.EncodeSim(&artifact.SimArtifact{Key: key, Result: res, Attrib: rep})
-	}
-
-	var (
-		data []byte
-		hit  bool
-		err  error
-	)
-	if e.Cache != nil && keyErr == nil {
-		data, hit, err = e.Cache.GetOrCompute(ctx, key.Hash(), compute)
-	} else {
-		// Ad-hoc benches without a SourceSHA are uncacheable: plain run.
-		data, err = compute(ctx)
-	}
+	data, hit, err := speculate.RunCell(ctx, e.Bench, e.Cache, e.Policy, mask, 0, nil)
 	if err != nil {
 		return Outcome{}, err
 	}
-	art, err := artifact.DecodeSim(data)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return Outcome{Result: art.Result, Report: art.Attrib, CacheHit: hit}, nil
-}
-
-// evaluateOnPool wraps the evaluation in a jobqueue job. ErrQueueFull is
-// backpressure, not failure: the submission is retried until accepted.
-func (e *LocalEvaluator) evaluateOnPool(ctx context.Context, mask *machine.SpawnMask) (Outcome, error) {
-	var out Outcome
-	job := jobqueue.Job{
-		ID: fmt.Sprintf("tune/%s/%s[%s]", e.Bench.Name, e.Policy, mask.Encode()),
-		Fn: func(ctx context.Context) error {
-			var err error
-			out, err = e.evaluate(ctx, mask)
-			return err
-		},
-	}
-	for {
-		h, err := e.Pool.Submit(job)
-		if err == nil {
-			if werr := h.Wait(ctx); werr != nil {
-				return Outcome{}, werr
-			}
-			return out, nil
-		}
-		if !errors.Is(err, jobqueue.ErrQueueFull) {
-			return Outcome{}, err
-		}
-		select {
-		case <-ctx.Done():
-			return Outcome{}, ctx.Err()
-		case <-time.After(25 * time.Millisecond):
-		}
-	}
+	return outcome(data, hit)
 }
 
 // RemoteEvaluator drives a polyflowd daemon (or, transparently, a cluster
-// coordinator — the coordinator forwards the request wholesale). Cache
-// hits come from the daemon's terminal job status, so a warm daemon
-// serves a whole tuning round without resimulating.
+// coordinator — the coordinator forwards the request wholesale) through
+// Client.Run. Cache hits come from the daemon's terminal job status, so a
+// warm daemon serves a whole tuning round without resimulating.
 type RemoteEvaluator struct {
 	Client *server.Client
 	Bench  string
 	Policy string
-	// Poll is the status poll interval while waiting; <= 0 selects 150ms.
-	Poll time.Duration
 }
 
 // Evaluate submits the candidate as a daemon job and waits it out. A full
-// queue (HTTP 429) is waited out like local backpressure.
+// queue (HTTP 429) is waited out, not an error.
 func (e *RemoteEvaluator) Evaluate(ctx context.Context, mask *machine.SpawnMask) (Outcome, error) {
 	req := server.Request{Bench: e.Bench, Policy: e.Policy}
 	if mask.Len() > 0 {
 		req.SpawnMask = mask.Encode()
 	}
-	poll := e.Poll
-	if poll <= 0 {
-		poll = 150 * time.Millisecond
-	}
-
-	var st server.Status
-	for {
-		var code int
-		var err error
-		st, code, err = e.Client.Submit(ctx, req)
-		if err == nil {
-			break
-		}
-		if code != http.StatusTooManyRequests {
-			return Outcome{}, fmt.Errorf("tune: submitting %s/%s: %w", e.Bench, e.Policy, err)
-		}
-		select {
-		case <-ctx.Done():
-			return Outcome{}, ctx.Err()
-		case <-time.After(poll):
-		}
-	}
-
-	st, err := e.Client.Wait(ctx, st.ID, poll)
+	data, st, err := e.Client.Run(ctx, req)
 	if err != nil {
-		return Outcome{}, err
+		return Outcome{}, fmt.Errorf("tune: %w", err)
 	}
-	if st.State != "succeeded" {
-		return Outcome{}, fmt.Errorf("tune: job %s ended %s: %s", st.ID, st.State, st.Error)
-	}
-	data, err := e.Client.ResultBytes(ctx, st.ID)
-	if err != nil {
-		return Outcome{}, err
-	}
+	return outcome(data, st.CacheHit)
+}
+
+// outcome decodes an evaluation's sim artifact.
+func outcome(data []byte, hit bool) (Outcome, error) {
 	art, err := artifact.DecodeSim(data)
 	if err != nil {
 		return Outcome{}, err
 	}
-	return Outcome{Result: art.Result, Report: art.Attrib, CacheHit: st.CacheHit}, nil
+	return Outcome{Result: art.Result, Report: art.Attrib, CacheHit: hit}, nil
 }

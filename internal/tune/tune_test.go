@@ -10,7 +10,6 @@ import (
 
 	"repro"
 	"repro/internal/artifact"
-	"repro/internal/jobqueue"
 	"repro/internal/machine"
 )
 
@@ -171,29 +170,6 @@ func TestEvaluatorCacheIdentity(t *testing.T) {
 	}
 	if o3.CacheHit {
 		t.Fatal("a never-evaluated mask hit the cache")
-	}
-}
-
-func TestEvaluatorOnPool(t *testing.T) {
-	b := prepBench(t)
-	pool := jobqueue.New(jobqueue.Config{Workers: 2})
-	defer func() {
-		pool.Drain(context.Background())
-		pool.Close()
-	}()
-	direct := &LocalEvaluator{Bench: b, Policy: "postdoms"}
-	pooled := &LocalEvaluator{Bench: b, Policy: "postdoms", Pool: pool}
-
-	want, err := direct.Evaluate(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := pooled.Evaluate(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Result, got.Result) {
-		t.Fatalf("pooled evaluation differs from direct: %+v vs %+v", want.Result, got.Result)
 	}
 }
 

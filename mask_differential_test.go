@@ -1,6 +1,7 @@
 package speculate_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestEmptySpawnMaskDifferential(t *testing.T) {
 						cfg.PolledScheduler = polled
 						cfg.SpawnMask = mask
 						cfg.Attribution = attrib.NewTable()
-						res, err := b.RunNamed(pol, cfg)
+						res, err := b.RunNamedContext(context.Background(), pol, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -79,7 +80,7 @@ func TestNonEmptySpawnMaskAttribution(t *testing.T) {
 			}
 			cfg := machine.PolyFlowConfig()
 			cfg.Attribution = attrib.NewTable()
-			res, err := b.RunNamed("postdoms", cfg)
+			res, err := b.RunNamedContext(context.Background(), "postdoms", cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +102,7 @@ func TestNonEmptySpawnMaskAttribution(t *testing.T) {
 			cfg.SpawnMask = machine.NewSpawnMask()
 			cfg.SpawnMask.Add(pc, kind)
 			cfg.Attribution = attrib.NewTable()
-			masked, err := b.RunNamed("postdoms", cfg)
+			masked, err := b.RunNamedContext(context.Background(), "postdoms", cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,9 +4,10 @@
 //
 // The typical pipeline is:
 //
+//	ctx := context.Background()
 //	bench, err := speculate.Load("twolf")          // assemble + emulate + analyze
-//	base, _ := bench.RunSuperscalar()              // 8-wide baseline
-//	res, _ := bench.RunPolicy(core.PolicyPostdoms, machine.PolyFlowConfig())
+//	base, _ := bench.RunNamedContext(ctx, "superscalar", machine.SuperscalarConfig())
+//	res, _ := bench.RunNamedContext(ctx, "postdoms", machine.PolyFlowConfig())
 //	fmt.Printf("speedup %.1f%%\n", speculate.SpeedupPct(base, res))
 //
 // Programs are written in the repository's MIPS-like assembly (internal/asm),
@@ -19,13 +20,18 @@ package speculate
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strconv"
 
+	"repro/internal/artifact"
 	"repro/internal/asm"
+	"repro/internal/attrib"
 	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/reconv"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -141,37 +147,8 @@ func (b *Bench) fillWarmup(cfg *machine.Config) {
 	}
 }
 
-// RunSuperscalar simulates the 8-wide superscalar baseline.
-func (b *Bench) RunSuperscalar() (machine.Result, error) {
-	return b.RunSuperscalarConfig(machine.SuperscalarConfig())
-}
-
-// RunSuperscalarConfig simulates the superscalar baseline under a custom
-// configuration — e.g. with a telemetry Collector attached.
-func (b *Bench) RunSuperscalarConfig(cfg machine.Config) (machine.Result, error) {
-	return b.RunSuperscalarContext(context.Background(), cfg)
-}
-
-// RunSuperscalarContext is RunSuperscalarConfig under a context: the
-// simulation aborts promptly when ctx is canceled or times out.
-func (b *Bench) RunSuperscalarContext(ctx context.Context, cfg machine.Config) (machine.Result, error) {
-	b.fillWarmup(&cfg)
-	return machine.RunContext(ctx, b.Trace, b.Deps, nil, cfg)
-}
-
-// RunPolicy simulates PolyFlow with the given static spawn policy.
-func (b *Bench) RunPolicy(p core.Policy, cfg machine.Config) (machine.Result, error) {
-	return b.RunPolicyContext(context.Background(), p, cfg)
-}
-
-// RunPolicyContext is RunPolicy under a context.
-func (b *Bench) RunPolicyContext(ctx context.Context, p core.Policy, cfg machine.Config) (machine.Result, error) {
-	cfg.Name = fmt.Sprintf("%s/%s", cfg.Name, p.Name)
-	b.fillWarmup(&cfg)
-	return machine.RunContext(ctx, b.Trace, b.Deps, p.Source(b.Analysis), cfg)
-}
-
-// PolicyNames lists every runnable configuration name accepted by RunNamed:
+// PolicyNames lists every runnable configuration name accepted by
+// RunNamedContext:
 // "superscalar", "rec_pred", and all static spawn policies.
 func PolicyNames() []string {
 	names := []string{"superscalar", "rec_pred"}
@@ -198,18 +175,16 @@ func allPolicies() []core.Policy {
 	return ps
 }
 
-// RunNamed simulates the bench under the named configuration: "superscalar"
-// runs the baseline with a superscalar config, "rec_pred" the dynamic
-// reconvergence predictor, and any static policy name the corresponding
-// spawn source; the two PolyFlow forms take cfg as the machine configuration.
-func (b *Bench) RunNamed(name string, cfg machine.Config) (machine.Result, error) {
-	return b.RunNamedContext(context.Background(), name, cfg)
-}
-
-// RunNamedContext is RunNamed under a context: cancellation and timeouts
-// propagate into the cycle loop (polyflow -timeout and polyflowd job
-// deadlines ride on this).
+// RunNamedContext simulates the bench under the named configuration:
+// "superscalar" runs the 8-wide baseline, "rec_pred" PolyFlow with the
+// dynamic reconvergence predictor of Section 4.4 as the spawn source (cold
+// at start, trained on the retirement stream), and any static policy name
+// PolyFlow with that policy's spawn source. The PolyFlow forms take cfg as
+// the machine configuration. Cancellation and timeouts of ctx propagate
+// into the cycle loop (polyflow -timeout and polyflowd job deadlines ride
+// on this).
 func (b *Bench) RunNamedContext(ctx context.Context, name string, cfg machine.Config) (machine.Result, error) {
+	var src core.Source
 	switch name {
 	case "superscalar":
 		// The baseline has no Task Spawn Unit, so cfg.SpawnMask is
@@ -222,31 +197,85 @@ func (b *Bench) RunNamedContext(ctx context.Context, name string, cfg machine.Co
 		ss.WarmupInstrs = cfg.WarmupInstrs
 		ss.SampleInterval = cfg.SampleInterval
 		ss.OnSample = cfg.OnSample
-		return b.RunSuperscalarContext(ctx, ss)
+		cfg = ss
 	case "rec_pred":
-		return b.RunRecPredContext(ctx, cfg)
+		cfg.Name += "/rec_pred"
+		src = reconv.NewSource(reconv.New(reconv.DefaultConfig()), b.Prog)
 	default:
 		p, ok := PolicyByName(name)
 		if !ok {
 			return machine.Result{}, fmt.Errorf("speculate: unknown policy %q (have %v)", name, PolicyNames())
 		}
-		return b.RunPolicyContext(ctx, p, cfg)
+		cfg.Name += "/" + p.Name
+		src = p.Source(b.Analysis)
 	}
-}
-
-// RunRecPred simulates PolyFlow with the dynamic reconvergence predictor as
-// the spawn source (Section 4.4): the predictor starts cold and trains on
-// the retirement stream, so warm-up effects are modeled.
-func (b *Bench) RunRecPred(cfg machine.Config) (machine.Result, error) {
-	return b.RunRecPredContext(context.Background(), cfg)
-}
-
-// RunRecPredContext is RunRecPred under a context.
-func (b *Bench) RunRecPredContext(ctx context.Context, cfg machine.Config) (machine.Result, error) {
-	cfg.Name = cfg.Name + "/rec_pred"
 	b.fillWarmup(&cfg)
-	src := reconv.NewSource(reconv.New(reconv.DefaultConfig()), b.Prog)
 	return machine.RunContext(ctx, b.Trace, b.Deps, src, cfg)
+}
+
+// RunCell runs one grid cell — bench b under the named policy — and
+// returns its encoded SimArtifact. It is the one path by which polyflowd,
+// the figure harness and the local tuner simulate a cell, so a cell has
+// one cache identity and one artifact whichever of them asks:
+//
+//   - the base config is the canonical one: SuperscalarConfig for
+//     "superscalar", PolyFlowConfig otherwise;
+//   - mask applies to PolyFlow cells only (the baseline has no spawns);
+//   - sampleInterval is a semantic input (the samples land in the
+//     artifact); onSample observes them and is not part of the key;
+//   - attribution is always attached and verified, so every artifact
+//     carries its report.
+//
+// With a cache and a cacheable bench (a registered workload) the artifact
+// is memoized by content address; otherwise the cell is simulated and
+// hit is false. Concurrent calls for one cold key run one simulation, and
+// every one of them reports hit=false: the leader's outcome is shared,
+// and the pipeline did run for all of them. The cache_lookup, simulate
+// and artifact_encode spans go to the trace in ctx, if any; a caller
+// deduplicated onto another's simulation records only its cache_lookup.
+func RunCell(ctx context.Context, b *Bench, cache *artifact.Cache, policy string, mask *machine.SpawnMask,
+	sampleInterval int64, onSample func(cycle, retired int64)) (data []byte, hit bool, err error) {
+
+	baseCfg := machine.PolyFlowConfig()
+	if policy == "superscalar" {
+		baseCfg = machine.SuperscalarConfig()
+	} else {
+		baseCfg.SpawnMask = mask
+	}
+	baseCfg.SampleInterval = sampleInterval
+	key, keyErr := artifact.NewSimKey(b.Name, b.SourceSHA, b.MaxInstrs, policy, baseCfg)
+	if keyErr != nil && !errors.Is(keyErr, artifact.ErrUncacheable) {
+		return nil, false, keyErr
+	}
+	compute := func(ctx context.Context) ([]byte, error) {
+		cfg := baseCfg
+		cfg.OnSample = onSample
+		tbl := attrib.NewTable()
+		cfg.Attribution = tbl
+		endSim := obs.StartSpan(ctx, "simulate")
+		res, err := b.RunNamedContext(ctx, policy, cfg)
+		if err != nil {
+			endSim.End("error", "true")
+			return nil, err
+		}
+		endSim.End("cycles", strconv.FormatInt(res.Cycles, 10))
+		if err := machine.VerifyAttribution(tbl, res); err != nil {
+			return nil, err
+		}
+		rep := attrib.NewReport(tbl, b.Name, policy, res.Config, res.Cycles, res.Retired)
+		endEnc := obs.StartSpan(ctx, "artifact_encode")
+		data, err := artifact.EncodeSim(&artifact.SimArtifact{Key: key, Result: res, Attrib: rep})
+		endEnc.End()
+		return data, err
+	}
+	if cache == nil || keyErr != nil {
+		data, err = compute(ctx)
+		return data, false, err
+	}
+	endLookup := obs.StartSpan(ctx, "cache_lookup")
+	data, hit, err = cache.GetOrCompute(ctx, key.Hash(), compute)
+	endLookup.End("hit", strconv.FormatBool(hit))
+	return data, hit, err
 }
 
 // SpeedupPct returns the percent speedup of res over base, using cycle

@@ -1,6 +1,7 @@
 package speculate
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -49,18 +50,18 @@ join:   addi $t9, $t9, -1
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := b.RunSuperscalar()
+	base, err := b.RunNamedContext(context.Background(), "superscalar", machine.SuperscalarConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.RunPolicy(core.PolicyPostdoms, machine.PolyFlowConfig())
+	res, err := b.RunNamedContext(context.Background(), core.PolicyPostdoms.Name, machine.PolyFlowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Retired != res.Retired {
 		t.Fatalf("retire counts differ: %d vs %d", base.Retired, res.Retired)
 	}
-	rec, err := b.RunRecPred(machine.PolyFlowConfig())
+	rec, err := b.RunNamedContext(context.Background(), "rec_pred", machine.PolyFlowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package speculate_test
 
 import (
+	"context"
 	"testing"
 
 	"repro"
@@ -61,7 +62,7 @@ func BenchmarkGridPerCell(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := bench.RunNamed(policy, cfg); err != nil {
+				if _, err := bench.RunNamedContext(context.Background(), policy, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -94,7 +95,7 @@ func BenchmarkGridBatched(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, policy := range gridPolicies {
-				if _, err := bench.RunNamed(policy, cfg); err != nil {
+				if _, err := bench.RunNamedContext(context.Background(), policy, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,6 +2,7 @@ package speculate_test
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -110,11 +111,11 @@ func TestAnalysisArtifactSkipsReanalysis(t *testing.T) {
 		t.Errorf("warm load ran the emulator %d times, want 0", got)
 	}
 
-	coldRes, err := cold.RunNamed("postdoms", machine.PolyFlowConfig())
+	coldRes, err := cold.RunNamedContext(context.Background(), "postdoms", machine.PolyFlowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmRes, err := warm.RunNamed("postdoms", machine.PolyFlowConfig())
+	warmRes, err := warm.RunNamedContext(context.Background(), "postdoms", machine.PolyFlowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +167,11 @@ func TestLazyTraceReplayBitIdentity(t *testing.T) {
 		t.Errorf("lazily loaded trace re-encodes to %d bytes differing from the %d-byte stored artifact", len(enc), len(stored))
 	}
 
-	eagerRes, err := eager.RunNamed("postdoms", machine.PolyFlowConfig())
+	eagerRes, err := eager.RunNamedContext(context.Background(), "postdoms", machine.PolyFlowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazyRes, err := lazy.RunNamed("postdoms", machine.PolyFlowConfig())
+	lazyRes, err := lazy.RunNamedContext(context.Background(), "postdoms", machine.PolyFlowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

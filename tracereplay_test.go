@@ -1,6 +1,7 @@
 package speculate_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -38,11 +39,11 @@ func TestReplayBitIdentical(t *testing.T) {
 		for _, pol := range policies {
 			pol := pol
 			t.Run(name+"/"+pol, func(t *testing.T) {
-				legacy, err := b.RunNamed(pol, machine.PolyFlowConfig())
+				legacy, err := b.RunNamedContext(context.Background(), pol, machine.PolyFlowConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
-				replay, err := rb.RunNamed(pol, machine.PolyFlowConfig())
+				replay, err := rb.RunNamedContext(context.Background(), pol, machine.PolyFlowConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
