@@ -21,7 +21,8 @@ type Config struct {
 	MaxInstrs int
 	// StackTop initializes $sp; 0 selects isa.DefaultStackTop.
 	StackTop uint64
-	// Record disables trace recording when false... (zero value records).
+	// NoTrace disables trace recording (Run then returns a nil trace); the
+	// zero value records.
 	NoTrace bool
 	// Metrics, when non-nil, receives the emu.* functional-execution
 	// counters (docs/OBSERVABILITY.md) once the run finishes. The stepping
@@ -63,6 +64,11 @@ type Machine struct {
 	OS SyscallHandler
 	// Segs, when non-nil, bounds-checks every data access (see Config.Segments).
 	Segs []Segment
+
+	// static holds, per code-segment instruction, the trace entry fields
+	// that depend only on the instruction (opcode, destination, register
+	// sources); step starts each entry from it.
+	static []trace.Entry
 }
 
 // New creates a machine with the program image loaded and the ABI state
@@ -72,30 +78,68 @@ func New(p *isa.Program, stackTop uint64) *Machine {
 	if stackTop == 0 {
 		stackTop = isa.DefaultStackTop
 	}
-	m := &Machine{Prog: p, Mem: NewMemory(), PC: p.Entry}
+	m := &Machine{Prog: p, Mem: NewMemory(), PC: p.Entry, static: staticEntries(p)}
 	m.Mem.LoadImage(p.DataBase, p.Data)
 	m.Regs[isa.SP] = int64(stackTop)
 	m.Regs[isa.GP] = int64(p.DataBase)
 	return m
 }
 
+// staticEntries builds Machine.static for p's code segment.
+func staticEntries(p *isa.Program) []trace.Entry {
+	out := make([]trace.Entry, len(p.Code))
+	for i, inst := range p.Code {
+		e := &out[i]
+		e.Op = inst.Op
+		if d, ok := inst.Dst(); ok {
+			e.Dst = d
+			e.Flags = trace.FlagHasDst
+		}
+		var srcs [4]isa.Reg
+		ss := inst.Srcs(srcs[:0])
+		// The ISA has at most two register sources.
+		for k, r := range ss {
+			if k < 2 {
+				e.Srcs[k] = r
+			}
+		}
+		e.NSrc = uint8(len(ss))
+	}
+	return out
+}
+
 // Step executes one instruction and appends its trace entry to tr (when tr
 // is non-nil). It returns an error on architectural faults: executing
 // outside the code segment or unknown opcodes.
 func (m *Machine) Step(tr *trace.Trace) error {
+	if tr == nil || m.Halted {
+		return m.step(nil)
+	}
+	var e trace.Entry
+	if err := m.step(&e); err != nil {
+		return err
+	}
+	tr.Entries = append(tr.Entries, e)
+	return nil
+}
+
+// step executes one instruction and, when out is non-nil, overwrites *out
+// with its trace entry. A halted machine does nothing and leaves *out
+// untouched. It is the one interpreter behind Step, Run and CheckOS.
+func (m *Machine) step(out *trace.Entry) error {
 	if m.Halted {
 		return nil
 	}
-	inst, ok := m.Prog.InstAt(m.PC)
-	if !ok {
+	idx := m.Prog.IndexOf(m.PC)
+	if idx < 0 {
 		return fmt.Errorf("emu: PC 0x%x outside code segment [0x%x,0x%x) after %d instructions",
 			m.PC, m.Prog.CodeBase, m.Prog.CodeBase+uint64(len(m.Prog.Code))*isa.InstSize, m.Count)
 	}
+	inst := &m.Prog.Code[idx]
 	pc := m.PC
 	next := pc + isa.InstSize
-	var e trace.Entry
+	e := m.static[idx]
 	e.PC = pc
-	e.Op = inst.Op
 
 	rs, rt := m.Regs[inst.Rs], m.Regs[inst.Rt]
 	var result int64
@@ -263,26 +307,13 @@ func (m *Machine) Step(tr *trace.Trace) error {
 		m.Regs[inst.Rd] = result
 	}
 
-	if tr != nil {
-		if d, ok := inst.Dst(); ok {
-			e.Dst = d
-			e.Flags |= trace.FlagHasDst
-		}
-		var srcs [4]isa.Reg
-		ss := inst.Srcs(srcs[:0])
-		// The ISA has at most two register sources.
-		for k, r := range ss {
-			if k < 2 {
-				e.Srcs[k] = r
-			}
-		}
-		e.NSrc = uint8(len(ss))
+	if out != nil {
 		if m.Halted {
 			e.Next = pc
 		} else {
 			e.Next = next
 		}
-		tr.Entries = append(tr.Entries, e)
+		*out = e
 	}
 
 	m.PC = next
@@ -300,15 +331,21 @@ func Run(p *isa.Program, cfg Config) (*trace.Trace, error) {
 	m := New(p, cfg.StackTop)
 	m.OS = cfg.OS
 	m.Segs = cfg.Segments
-	var tr *trace.Trace
+	var log *entryLog
+	var e trace.Entry
+	var out *trace.Entry
 	if !cfg.NoTrace {
-		tr = &trace.Trace{Entries: make([]trace.Entry, 0, 1<<16)}
+		log, out = &entryLog{}, &e
 	}
 	for !m.Halted && m.Count < int64(max) {
-		if err := m.Step(tr); err != nil {
-			return tr, err
+		if err := m.step(out); err != nil {
+			return log.trace(), err
+		}
+		if log != nil {
+			log.add(e)
 		}
 	}
+	tr := log.trace()
 	if cfg.Metrics != nil {
 		publishMetrics(cfg.Metrics, m, tr)
 	}
@@ -316,6 +353,44 @@ func Run(p *isa.Program, cfg Config) (*trace.Trace, error) {
 		return tr, fmt.Errorf("emu: instruction cap %d reached without halt (PC 0x%x)", max, m.PC)
 	}
 	return tr, nil
+}
+
+// logChunk is the entry count of one entryLog chunk (1 MiB of entries).
+const logChunk = 1 << 15
+
+// entryLog collects a run's entries in fixed-size chunks, so recording
+// never copies a grown slice; trace copies them once into an exactly sized
+// slice, so the returned trace carries no spare capacity either.
+type entryLog struct {
+	full [][]trace.Entry
+	cur  []trace.Entry
+}
+
+func (l *entryLog) add(e trace.Entry) {
+	if len(l.cur) == cap(l.cur) {
+		if l.cur != nil {
+			l.full = append(l.full, l.cur)
+		}
+		l.cur = make([]trace.Entry, 0, logChunk)
+	}
+	l.cur = append(l.cur, e)
+}
+
+// trace assembles the recorded entries; a nil log (recording off) yields a
+// nil trace.
+func (l *entryLog) trace() *trace.Trace {
+	if l == nil {
+		return nil
+	}
+	n := len(l.cur)
+	for _, c := range l.full {
+		n += len(c)
+	}
+	entries := make([]trace.Entry, 0, n)
+	for _, c := range l.full {
+		entries = append(entries, c...)
+	}
+	return &trace.Trace{Entries: append(entries, l.cur...)}
 }
 
 // publishMetrics counts the retired instruction mix into reg. With trace

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -337,6 +338,53 @@ func TestUnwrittenMemoryReadsZero(t *testing.T) {
 	}
 	if m.Footprint() != 0 {
 		t.Fatalf("reads must not allocate pages")
+	}
+}
+
+// TestMemoryWideAccessMatchesBytewise holds the single-lookup Read/Write
+// fast path to a byte-at-a-time Load8/Store8 reference: random addresses
+// clustered around page boundaries (so many accesses straddle two pages)
+// and scattered over unmapped pages, at every access width, interleaved so
+// the last-page cache is exercised across page switches.
+func TestMemoryWideAccessMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	fast, ref := NewMemory(), NewMemory()
+	addrOf := func() uint64 {
+		switch rng.Intn(3) {
+		case 0: // within 8 bytes of one of four page boundaries
+			return uint64(1+rng.Intn(4))*pageSize - 8 + uint64(rng.Intn(16))
+		case 1: // anywhere in the first few pages
+			return uint64(rng.Intn(6 * pageSize))
+		default: // one of 64 far pages, each unmapped until first written
+			return uint64(rng.Intn(64))<<40 | uint64(rng.Intn(pageSize))
+		}
+	}
+	for i := 0; i < 50000; i++ {
+		addr := addrOf()
+		width := []int{1, 2, 4, 8}[rng.Intn(4)]
+		if rng.Intn(2) == 0 {
+			v := rng.Uint64()
+			fast.Write(addr, width, v)
+			for k := 0; k < width; k++ {
+				ref.Store8(addr+uint64(k), byte(v>>(8*k)))
+			}
+			continue
+		}
+		var want uint64
+		for k := 0; k < width; k++ {
+			want |= uint64(ref.Load8(addr+uint64(k))) << (8 * k)
+		}
+		if got := fast.Read(addr, width); got != want {
+			t.Fatalf("op %d: Read(%#x, %d) = %#x, byte-wise reference %#x", i, addr, width, got, want)
+		}
+	}
+	if fast.Footprint() != ref.Footprint() {
+		t.Fatalf("footprint %d pages, byte-wise reference %d", fast.Footprint(), ref.Footprint())
+	}
+	for key, p := range ref.pages {
+		if q := fast.pages[key]; q == nil || *q != *p {
+			t.Fatalf("page %#x differs from the byte-wise reference", key)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package tracestore
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -36,6 +37,43 @@ func Open(ra io.ReaderAt, size int64) *Reader { return &Reader{ra: ra, size: siz
 // path the batched run path and the artifact cache use.
 func Decode(data []byte) (*trace.Trace, *trace.Deps, error) {
 	return (&Reader{data: data, size: int64(len(data))}).Load()
+}
+
+// entryCount walks the entry frames' headers — kind, count and payload
+// length, skipping each payload — and returns the total entry count, so
+// Load sizes its entry slice exactly on both the in-memory and the
+// ReaderAt branch without reading any payload. It trusts nothing: the walk
+// stops at the first header that is not a plausible entry frame (a count
+// above chunkEntries, or more entries than one per 5 payload bytes, the
+// smallest entry encoding), so corrupt input can never size the slice past
+// size/5 entries; Load reports the corruption itself.
+func (r *Reader) entryCount() int {
+	var ra io.ReaderAt = r.ra
+	if r.data != nil {
+		ra = bytes.NewReader(r.data)
+	}
+	if ra == nil {
+		return 0
+	}
+	var hdr [1 + 2*binary.MaxVarintLen64]byte
+	n := 0
+	for off := int64(len(magic) + 1); off < r.size; {
+		k, _ := ra.ReadAt(hdr[:min(int64(len(hdr)), r.size-off)], off)
+		if k == 0 || hdr[0] != kindEntries {
+			break
+		}
+		count, c := binary.Uvarint(hdr[1:k])
+		if c <= 0 {
+			break
+		}
+		plen, l := binary.Uvarint(hdr[1+c : k])
+		if l <= 0 || count > chunkEntries || plen > maxFramePayload || count*5 > plen {
+			break
+		}
+		n += int(count)
+		off += int64(1+c+l) + int64(plen) + 4
+	}
+	return n
 }
 
 func (r *Reader) parser() (*parser, error) {
@@ -73,16 +111,11 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 		stDeps
 	)
 	stage := stEntries
-	// The stream size bounds the entry count (each entry encodes to at
-	// least 5 bytes), so a size-derived capacity avoids regrowing what is
-	// by far the largest allocation. Unknown size (NewReader) degrades to
-	// plain append growth.
-	entries := make([]trace.Entry, 0, int(r.size/8))
-	occ := map[uint64][]int32{}
-	var occBacking []int32
-	occTotal := 0
-	var lastPC uint64
-	havePC := false
+	// The entry slice is by far the largest allocation; sizing it from the
+	// entry frames' headers avoids both regrowth and slack. Unknown size
+	// (NewReader) degrades to plain append growth.
+	entries := make([]trace.Entry, 0, r.entryCount())
+	var occ *occDecoder
 	var deps *trace.Deps
 	depi := 0
 	// Chunking canonicality: the writer emits full entry frames (exactly
@@ -125,12 +158,10 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 				return nil, nil, corruptf("occurrence frame after the section's final frame")
 			}
 			occClosed = len(payload) < frameTarget
-			if occBacking == nil {
-				// Exactly one index per entry across the whole section, so
-				// one backing array serves every per-PC list.
-				occBacking = make([]int32, 0, len(entries))
+			if occ == nil {
+				occ = newOccDecoder(entries)
 			}
-			if err := decodeOcc(payload, int(count), entries, occ, &occBacking, &lastPC, &havePC, &occTotal); err != nil {
+			if err := occ.frame(payload, int(count)); err != nil {
 				return nil, nil, err
 			}
 		case kindDeps:
@@ -138,16 +169,13 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 				if !occClosed {
 					return nil, nil, corruptf("occurrence section missing its final frame")
 				}
-				if occTotal != len(entries) {
-					return nil, nil, corruptf("occurrence index covers %d of %d entries", occTotal, len(entries))
+				if err := occ.finish(); err != nil {
+					return nil, nil, err
 				}
 				stage = stDeps
 				deps = &trace.Deps{
 					RegProd: make([][2]int32, len(entries)),
 					MemProd: make([]int32, len(entries)),
-				}
-				for i := range deps.MemProd {
-					deps.MemProd[i] = -1
 				}
 			}
 			if stage != stDeps {
@@ -183,7 +211,7 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 				entries = nil // an empty trace round-trips as nil, like the emulator produces
 			}
 			t := &trace.Trace{Entries: entries}
-			t.RestoreIndex(occ)
+			t.RestoreIndex(occ.occ)
 			return t, deps, nil
 		default:
 			return nil, nil, corruptf("unknown frame kind %#x", kind)
@@ -324,152 +352,210 @@ func (p *parser) expectEOF() error {
 	return nil
 }
 
-// decodeEntries parses one entry frame, appending its entries to dst.
-func decodeEntries(dst []trace.Entry, payload []byte, count int) ([]trace.Entry, error) {
-	pos := 0
-	var prevPC, prevAddr uint64
-	var e trace.Entry
-	for j := 0; j < count; j++ {
-		if pos+2 > len(payload) {
-			return nil, corruptf("entry %d: truncated flags/op", j)
-		}
-		e = trace.Entry{Flags: payload[pos], Op: isa.Op(payload[pos+1])}
-		pos += 2
-		d, next, err := svarintAt(payload, pos)
-		if err != nil {
-			return nil, err
-		}
-		pos = next
-		e.PC = prevPC + uint64(d)
-		prevPC = e.PC
-		d, next, err = svarintAt(payload, pos)
-		if err != nil {
-			return nil, err
-		}
-		pos = next
-		e.Next = e.PC + isa.InstSize + uint64(d)
-		if e.IsLoad() || e.IsStore() {
-			if pos >= len(payload) {
-				return nil, corruptf("entry %d: truncated memory width", j)
-			}
-			e.MemW = payload[pos]
-			pos++
-			d, next, err = svarintAt(payload, pos)
-			if err != nil {
-				return nil, err
-			}
-			pos = next
-			e.Addr = prevAddr + uint64(d)
-			prevAddr = e.Addr
-		}
-		if e.HasDst() {
-			if pos >= len(payload) {
-				return nil, corruptf("entry %d: truncated destination", j)
-			}
-			if payload[pos] >= isa.NumRegs {
-				return nil, corruptf("entry %d: destination register %d out of range", j, payload[pos])
-			}
-			e.Dst = isa.Reg(payload[pos])
-			pos++
-		}
-		if pos >= len(payload) {
-			return nil, corruptf("entry %d: truncated source count", j)
-		}
-		nsrc := payload[pos]
-		pos++
-		if nsrc > 2 {
-			return nil, corruptf("entry %d: source count %d exceeds 2", j, nsrc)
-		}
-		if pos+int(nsrc) > len(payload) {
-			return nil, corruptf("entry %d: truncated sources", j)
-		}
-		e.NSrc = nsrc
-		for k := 0; k < int(nsrc); k++ {
-			if payload[pos] >= isa.NumRegs {
-				return nil, corruptf("entry %d: source register %d out of range", j, payload[pos])
-			}
-			e.Srcs[k] = isa.Reg(payload[pos])
-			pos++
-		}
-		dst = append(dst, e)
+// The payload decoders below thread a position through free functions:
+// each read takes p and pos and returns the value and the next position,
+// so the decode loops keep pos in a register. Reads are bounds-checked and
+// failure is sticky: a truncated payload or a malformed varint returns
+// position len(p)+1, every later read stays there and returns zero, and
+// the loops test for it (bad) once per item instead of once per field.
+
+// byteAt reads one byte.
+func byteAt(p []byte, pos int) (byte, int) {
+	if pos < len(p) {
+		return p[pos], pos + 1
 	}
-	if pos != len(payload) {
-		return nil, corruptf("entry frame carries %d trailing bytes", len(payload)-pos)
-	}
-	return dst, nil
+	return 0, len(p) + 1
 }
 
-// decodeOcc parses one occurrence frame into occ, validating each list
-// against the decoded entries: PCs strictly ascend across frames, indices
-// strictly ascend within a list, and every index's entry retires at the
-// list's PC. Together with the total-coverage check at the section
-// boundary this forces the decoded index to be exactly canonical.
-func decodeOcc(payload []byte, count int, entries []trace.Entry, occ map[uint64][]int32, backing *[]int32, lastPC *uint64, havePC *bool, total *int) error {
-	pos := 0
-	prevPC := uint64(0) // delta state resets per frame; first PC is absolute
-	for j := 0; j < count; j++ {
-		d, next, err := uvarintAt(payload, pos)
-		if err != nil {
-			return err
-		}
-		pos = next
-		pc := prevPC + d
-		if j > 0 && d == 0 {
-			return corruptf("occurrence PCs not strictly ascending at %#x", pc)
-		}
-		if *havePC && pc <= *lastPC {
-			return corruptf("occurrence PC %#x not above previous frame's %#x", pc, *lastPC)
-		}
-		prevPC, *lastPC, *havePC = pc, pc, true
-		cnt, next, err := uvarintAt(payload, pos)
-		if err != nil {
-			return err
-		}
-		pos = next
-		if cnt == 0 {
-			return corruptf("empty occurrence list for PC %#x", pc)
-		}
-		if cnt > uint64(len(payload)-pos) || *total+int(cnt) > len(entries) {
-			return corruptf("occurrence list for PC %#x overflows trace", pc)
-		}
-		start := len(*backing)
-		var ix uint64
-		for k := 0; k < int(cnt); k++ {
-			d, next, err := uvarintAt(payload, pos)
-			if err != nil {
-				return err
+// uvarintAt decodes a varint, rejecting (as bad) truncation, overflow past
+// 64 bits and non-minimal encodings (a redundant high zero byte): the
+// format admits exactly one byte sequence per value, which is what makes a
+// successful decode re-encode byte-identically.
+func uvarintAt(p []byte, pos int) (uint64, int) {
+	var v uint64
+	for s := uint(0); pos < len(p); s += 7 {
+		b := p[pos]
+		pos++
+		v |= uint64(b&0x7f) << s
+		if b < 0x80 {
+			if (b == 0 && s > 0) || s > 63 || (s == 63 && b > 1) {
+				break
 			}
-			pos = next
-			if k == 0 {
-				ix = d
-			} else {
-				if d == 0 {
-					return corruptf("occurrence indices for PC %#x not strictly ascending", pc)
-				}
-				ix += d
-			}
-			if ix >= uint64(len(entries)) {
-				return corruptf("occurrence index %d for PC %#x out of range", ix, pc)
-			}
-			if entries[ix].PC != pc {
-				return corruptf("occurrence index %d claims PC %#x, entry has %#x", ix, pc, entries[ix].PC)
-			}
-			*backing = append(*backing, int32(ix))
+			return v, pos
 		}
-		// Three-index slice: a later append to the backing array must never
-		// alias into an installed list.
-		occ[pc] = (*backing)[start:len(*backing):len(*backing)]
-		*total += int(cnt)
 	}
-	if pos != len(payload) {
-		return corruptf("occurrence frame carries %d trailing bytes", len(payload)-pos)
+	return 0, len(p) + 1
+}
+
+// bad reports a failed read.
+func bad(p []byte, pos int) bool { return pos > len(p) }
+
+// malformed describes a failed read inside item.
+func malformed(item string) error {
+	return corruptf("%s: truncated payload or malformed varint", item)
+}
+
+// trailing reports bytes left after the payload's declared items.
+func trailing(section string, p []byte, pos int) error {
+	if pos != len(p) {
+		return corruptf("%s frame carries %d trailing bytes", section, len(p)-pos)
 	}
 	return nil
 }
 
-// decodeDeps parses one dependence frame, resuming at entry *depi.
-func decodeDeps(payload []byte, count int, entries []trace.Entry, deps *trace.Deps, depi *int) error {
+// decodeEntries parses one entry frame, appending its entries to dst.
+func decodeEntries(dst []trace.Entry, p []byte, count int) ([]trace.Entry, error) {
 	pos := 0
+	var prevPC, prevAddr, u uint64
+	for j := 0; j < count; j++ {
+		var e trace.Entry
+		e.Flags, pos = byteAt(p, pos)
+		var op byte
+		op, pos = byteAt(p, pos)
+		e.Op = isa.Op(op)
+		u, pos = uvarintAt(p, pos)
+		e.PC = prevPC + uint64(unzigzag(u))
+		prevPC = e.PC
+		u, pos = uvarintAt(p, pos)
+		e.Next = e.PC + isa.InstSize + uint64(unzigzag(u))
+		if e.Flags&(trace.FlagLoad|trace.FlagStore) != 0 {
+			e.MemW, pos = byteAt(p, pos)
+			u, pos = uvarintAt(p, pos)
+			e.Addr = prevAddr + uint64(unzigzag(u))
+			prevAddr = e.Addr
+		}
+		var r byte
+		if e.Flags&trace.FlagHasDst != 0 {
+			if r, pos = byteAt(p, pos); r >= isa.NumRegs {
+				return nil, corruptf("entry %d: destination register %d out of range", j, r)
+			}
+			e.Dst = isa.Reg(r)
+		}
+		if e.NSrc, pos = byteAt(p, pos); e.NSrc > 2 {
+			return nil, corruptf("entry %d: source count %d exceeds 2", j, e.NSrc)
+		}
+		for k := 0; k < int(e.NSrc); k++ {
+			if r, pos = byteAt(p, pos); r >= isa.NumRegs {
+				return nil, corruptf("entry %d: source register %d out of range", j, r)
+			}
+			e.Srcs[k] = isa.Reg(r)
+		}
+		if bad(p, pos) {
+			return nil, malformed(fmt.Sprintf("entry %d", j))
+		}
+		dst = append(dst, e)
+	}
+	if err := trailing("entry", p, pos); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// occDecoder accumulates the occurrence section across its frames. Each
+// list is checked as it decodes: PCs strictly ascend across frames,
+// indices strictly ascend within a list, are in range, and no index is
+// listed twice. Whether every index's entry really retires at its list's
+// PC is checked in one sequential pass at the section's end (finish),
+// through owner, instead of one random entry access per index. Together
+// with the total-coverage check this forces the decoded index to be
+// exactly canonical.
+type occDecoder struct {
+	entries []trace.Entry
+	occ     map[uint64][]int32
+	// backing holds every list, one index per entry across the section.
+	backing []int32
+	// owner[i] is 1 + the position in pcs of the list holding index i;
+	// zero means no list has claimed it yet.
+	owner  []int32
+	pcs    []uint64
+	lastPC uint64
+}
+
+func newOccDecoder(entries []trace.Entry) *occDecoder {
+	return &occDecoder{
+		entries: entries,
+		occ:     map[uint64][]int32{},
+		backing: make([]int32, 0, len(entries)),
+		owner:   make([]int32, len(entries)),
+	}
+}
+
+// frame parses one occurrence frame.
+func (o *occDecoder) frame(p []byte, count int) error {
+	pos := 0
+	n := uint64(len(o.entries))
+	prevPC := uint64(0) // delta state resets per frame; first PC is absolute
+	for j := 0; j < count; j++ {
+		var delta, cnt uint64
+		delta, pos = uvarintAt(p, pos)
+		pc := prevPC + delta
+		cnt, pos = uvarintAt(p, pos)
+		switch {
+		case bad(p, pos):
+			return malformed("occurrence list header")
+		case j > 0 && delta == 0:
+			return corruptf("occurrence PCs not strictly ascending at %#x", pc)
+		case len(o.pcs) > 0 && pc <= o.lastPC:
+			return corruptf("occurrence PC %#x not above previous frame's %#x", pc, o.lastPC)
+		case cnt == 0:
+			return corruptf("empty occurrence list for PC %#x", pc)
+		case cnt > uint64(len(p)-pos) || uint64(len(o.backing))+cnt > n:
+			return corruptf("occurrence list for PC %#x overflows trace", pc)
+		}
+		prevPC, o.lastPC = pc, pc
+		o.pcs = append(o.pcs, pc)
+		owner := int32(len(o.pcs))
+		start := len(o.backing)
+		var ix uint64
+		for k := 0; k < int(cnt); k++ {
+			delta, pos = uvarintAt(p, pos)
+			if k == 0 {
+				ix = delta
+			} else if ix+delta <= ix { // a zero delta, or one that wraps
+				return corruptf("occurrence indices for PC %#x not strictly ascending", pc)
+			} else {
+				ix += delta
+			}
+			if bad(p, pos) {
+				return malformed(fmt.Sprintf("occurrence list for PC %#x", pc))
+			}
+			if ix >= n {
+				return corruptf("occurrence index %d for PC %#x out of range", ix, pc)
+			}
+			if o.owner[ix] != 0 {
+				return corruptf("occurrence index %d listed for PC %#x and %#x", ix, o.pcs[o.owner[ix]-1], pc)
+			}
+			o.owner[ix] = owner
+			o.backing = append(o.backing, int32(ix))
+		}
+		// Three-index slice: a later append to the backing array must never
+		// alias into an installed list.
+		o.occ[pc] = o.backing[start:len(o.backing):len(o.backing)]
+	}
+	return trailing("occurrence", p, pos)
+}
+
+// finish checks the complete section: it covers every entry, and each
+// entry retires at the PC of the list that claims it.
+func (o *occDecoder) finish() error {
+	if len(o.backing) != len(o.entries) {
+		return corruptf("occurrence index covers %d of %d entries", len(o.backing), len(o.entries))
+	}
+	for i := range o.entries {
+		// Every index is claimed exactly once (coverage plus no repeats).
+		if pc := o.pcs[o.owner[i]-1]; o.entries[i].PC != pc {
+			return corruptf("occurrence index %d claims PC %#x, entry has %#x", i, pc, o.entries[i].PC)
+		}
+	}
+	return nil
+}
+
+// decodeDeps parses one dependence frame, resuming at entry *depi. Every
+// entry is visited exactly once, so non-loads get their -1 memory producer
+// here.
+func decodeDeps(p []byte, count int, entries []trace.Entry, deps *trace.Deps, depi *int) error {
+	pos := 0
+	var u uint64
 	for j := 0; j < count; j++ {
 		i := *depi
 		if i >= len(entries) {
@@ -477,33 +563,26 @@ func decodeDeps(payload []byte, count int, entries []trace.Entry, deps *trace.De
 		}
 		e := &entries[i]
 		for k := 0; k < int(e.NSrc); k++ {
-			d, next, err := svarintAt(payload, pos)
-			if err != nil {
-				return err
-			}
-			pos = next
-			prod := int64(i) + d
+			u, pos = uvarintAt(p, pos)
+			prod := int64(i) + unzigzag(u)
 			if prod < -1 || prod >= int64(i) {
 				return corruptf("entry %d: register producer %d out of range", i, prod)
 			}
 			deps.RegProd[i][k] = int32(prod)
 		}
-		if e.IsLoad() {
-			d, next, err := svarintAt(payload, pos)
-			if err != nil {
-				return err
-			}
-			pos = next
-			prod := int64(i) + d
+		deps.MemProd[i] = -1
+		if e.Flags&trace.FlagLoad != 0 {
+			u, pos = uvarintAt(p, pos)
+			prod := int64(i) + unzigzag(u)
 			if prod < -1 || prod >= int64(i) {
 				return corruptf("entry %d: memory producer %d out of range", i, prod)
 			}
 			deps.MemProd[i] = int32(prod)
 		}
+		if bad(p, pos) {
+			return malformed(fmt.Sprintf("dependences of entry %d", i))
+		}
 		*depi = i + 1
 	}
-	if pos != len(payload) {
-		return corruptf("dependence frame carries %d trailing bytes", len(payload)-pos)
-	}
-	return nil
+	return trailing("dependence", p, pos)
 }

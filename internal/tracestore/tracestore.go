@@ -1,9 +1,9 @@
 // Package tracestore serializes the functional emulator's products — the
 // retired instruction trace, its per-PC occurrence index, and the
 // last-writer dependence information — into a compact, versioned,
-// checksummed binary format, so a workload is decoded once and every
-// policy replay thereafter streams the stored bytes instead of re-running
-// the emulator (ROADMAP item 2: decode-once, simulate-many).
+// checksummed binary format, so a workload is emulated once and every
+// policy replay thereafter decodes the stored bytes instead of re-running
+// the emulator (decode-once, simulate-many).
 //
 // # Format: polyflow-trace/1
 //
@@ -109,40 +109,4 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // appendUvarint appends v to b varint-encoded.
 func appendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
-}
-
-// uvarintAt decodes a varint from p at pos, returning the value and the
-// position after it. Non-minimal encodings (a redundant high zero byte) are
-// rejected: the format admits exactly one byte sequence per value, which is
-// what makes a successful decode re-encode byte-identically.
-func uvarintAt(p []byte, pos int) (uint64, int, error) {
-	// One- and two-byte values dominate delta streams; decode them without
-	// the generic loop.
-	if pos < len(p) {
-		if b := p[pos]; b < 0x80 {
-			return uint64(b), pos + 1, nil
-		} else if pos+1 < len(p) && p[pos+1] < 0x80 {
-			if p[pos+1] == 0 {
-				return 0, 0, corruptf("non-minimal varint at payload offset %d", pos)
-			}
-			return uint64(b&0x7f) | uint64(p[pos+1])<<7, pos + 2, nil
-		}
-	}
-	v, n := binary.Uvarint(p[pos:])
-	if n <= 0 {
-		return 0, 0, corruptf("bad varint at payload offset %d", pos)
-	}
-	if n > 1 && p[pos+n-1] == 0 {
-		return 0, 0, corruptf("non-minimal varint at payload offset %d", pos)
-	}
-	return v, pos + n, nil
-}
-
-// svarintAt decodes a zigzag varint.
-func svarintAt(p []byte, pos int) (int64, int, error) {
-	u, next, err := uvarintAt(p, pos)
-	if err != nil {
-		return 0, 0, err
-	}
-	return unzigzag(u), next, nil
 }

@@ -208,3 +208,76 @@ func TestFinishValidatesDeps(t *testing.T) {
 		t.Fatalf("future producer: got %v, want ErrUnencodable", err)
 	}
 }
+
+// reframe rebuilds data with the payload of its first frame of the given
+// kind replaced (count kept, length and checksum recomputed), so a test can
+// forge a section the checksums accept and only structural validation can
+// reject.
+func reframe(t *testing.T, data []byte, kind byte, payload []byte) []byte {
+	t.Helper()
+	p := &parser{data: data}
+	if err := p.header(); err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte{}, data[:5]...)
+	replaced := false
+	for p.off < len(data) {
+		k, count, pl, err := p.frame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == kind && !replaced {
+			pl, replaced = payload, true
+		}
+		out = append(out, k)
+		out = appendUvarint(out, count)
+		out = appendUvarint(out, uint64(len(pl)))
+		out = append(out, pl...)
+		var crc [4]byte
+		putCRC(crc[:], pl)
+		out = append(out, crc[:]...)
+	}
+	if !replaced {
+		t.Fatalf("no frame of kind %q", kind)
+	}
+	return out
+}
+
+// TestForgedOccurrenceIndex holds the occurrence section's cross-validation
+// against index lists that pass every checksum: each must decode to exactly
+// the canonical index or fail with ErrCorrupt.
+func TestForgedOccurrenceIndex(t *testing.T) {
+	tr, d := synthTrace()
+	data, err := Encode(tr, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// synthTrace retires 0x0ff0 at 4, 0x1000 at 0 and 5, 0x1004 at 1,
+	// 0x1008 at 2 and 0x100c at 3. Each list is PC delta, count, then the
+	// first index and ascending index deltas.
+	occ := func(lists ...[]uint64) []byte {
+		var b []byte
+		for _, l := range lists {
+			for _, v := range l {
+				b = appendUvarint(b, v)
+			}
+		}
+		return b
+	}
+	canonical := [][]uint64{{0xff0, 1, 4}, {0x10, 2, 0, 5}, {4, 1, 1}, {4, 1, 2}, {4, 1, 3}}
+	if _, _, err := Decode(reframe(t, data, kindOcc, occ(canonical...))); err != nil {
+		t.Fatalf("canonical hand-built occurrence frame rejected: %v", err)
+	}
+	for name, lists := range map[string][][]uint64{
+		"index claims wrong PC": {{0xff0, 1, 4}, {0x10, 2, 0, 5}, {4, 1, 2}, {4, 1, 1}, {4, 1, 3}},
+		"index listed twice":    {{0xff0, 1, 4}, {0x10, 2, 0, 5}, {4, 1, 1}, {4, 1, 1}, {4, 1, 3}},
+		"indices wrap":          {{0xff0, 1, 4}, {0x10, 2, 5, ^uint64(0) - 4}, {4, 1, 1}, {4, 1, 2}, {4, 1, 3}},
+		"PCs not ascending":     {{0xff0, 1, 4}, {0x10, 2, 0, 5}, {0, 1, 1}, {4, 1, 2}, {4, 1, 3}},
+		"index out of range":    {{0xff0, 1, 4}, {0x10, 2, 0, 6}, {4, 1, 1}, {4, 1, 2}, {4, 1, 3}},
+		"entry not covered":     {{0xff0, 1, 4}, {0x10, 1, 0}, {4, 1, 1}, {4, 1, 2}, {4, 1, 3}},
+	} {
+		if _, _, err := Decode(reframe(t, data, kindOcc, occ(lists...))); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		}
+	}
+}

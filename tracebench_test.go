@@ -1,11 +1,14 @@
-// Benchmarks for the decode-once trace store (ROADMAP item 2): raw replay
-// decode throughput, and the batched multi-policy grid against the
-// per-cell baseline it replaces. BENCH_simulator.json records all three —
-// the batched grid must hold at least 2x over per-cell.
+// Benchmarks for trace preparation and the decode-once trace store: the
+// emulate-check-analyze pipeline a cold load pays, trace encode and decode
+// throughput, and the batched multi-policy grid against the per-cell
+// baseline it replaces. BENCH_simulator.json records them (see
+// docs/PERFORMANCE.md, "Trace replay").
 package speculate_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro"
@@ -40,6 +43,88 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := tracestore.Decode(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTraceLoad compares LoadCached's two decode branches on gzip's
+// trace stored as a file, as the disk artifact tier holds it: eager reads
+// the whole artifact into memory and decodes it in place; lazy streams it
+// through the ReaderAt path without holding the serialized bytes.
+func BenchmarkTraceLoad(b *testing.B) {
+	bench, err := speculate.Load("gzip")
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := bench.EncodeTrace()
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "gzip.trace")
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	size := int64(len(enc))
+	b.Run("eager", func(b *testing.B) {
+		b.SetBytes(size)
+		for i := 0; i < b.N; i++ {
+			buf := make([]byte, size)
+			if _, err := f.ReadAt(buf, 0); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := tracestore.Decode(buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("lazy", func(b *testing.B) {
+		b.SetBytes(size)
+		for i := 0; i < b.N; i++ {
+			if _, _, err := tracestore.Open(f, size).Load(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkTraceEncode measures serializing gzip's trace and dependences
+// into polyflow-trace/1 — the encode half of every cold load's store.
+func BenchmarkTraceEncode(b *testing.B) {
+	bench, err := speculate.Load("gzip")
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := bench.EncodeTrace()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(enc)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bench.EncodeTrace(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPrepare measures gzip's full preparation from an assembled
+// program: functional emulation, the architectural re-check, static
+// analysis and the dependence scan.
+func BenchmarkPrepare(b *testing.B) {
+	w, ok := workloads.ByName("gzip")
+	if !ok {
+		b.Fatal("unknown workload gzip")
+	}
+	prog := w.Assemble()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := speculate.Prepare(w.Name, prog, w.MaxInstrs); err != nil {
 			b.Fatal(err)
 		}
 	}

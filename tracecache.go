@@ -16,9 +16,10 @@ import (
 
 // LazyTraceThreshold is the artifact size, in bytes, above which LoadCached
 // replays a stored trace through the tracestore's streaming ReaderAt path
-// instead of materializing the serialized bytes first. Below it the decode
-// working set is small enough that an eager read is cheaper than seeking.
-// Exported as a variable so tests can force either path.
+// instead of materializing the serialized bytes first. Both paths size the
+// decoded trace exactly; measured on gzip they cost the same time and the
+// lazy one allocates less (docs/PERFORMANCE.md, "Trace replay"). Exported
+// as a variable so tests can force either path.
 var LazyTraceThreshold int64 = 4 << 20
 
 // LoadSource reports where LoadCached obtained a bench's trace: the

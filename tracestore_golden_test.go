@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
@@ -127,5 +131,53 @@ func TestTraceFormatGolden(t *testing.T) {
 	}
 	if len(decDeps.RegProd) != len(deps.RegProd) {
 		t.Fatal("fixture deps length differs")
+	}
+}
+
+var workloadDigestsPath = filepath.Join("testdata", "tracestore", "workloads.sha256")
+
+// TestWorkloadTraceDigests extends byte identity beyond the synthetic
+// fixture: every registered workload's emulated trace must encode to the
+// pinned SHA-256 (one "name digest" line per workload) and decode back to
+// the same entries and dependences. Set UPDATE_TRACESTORE_GOLDEN=1 to
+// rewrite the pins — only alongside a deliberate format change.
+func TestWorkloadTraceDigests(t *testing.T) {
+	var got strings.Builder
+	for _, name := range speculate.AllWorkloadNames() {
+		b, err := speculate.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := b.EncodeTrace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(enc)
+		fmt.Fprintf(&got, "%s %s\n", name, hex.EncodeToString(sum[:]))
+
+		dec, deps, err := tracestore.Decode(enc)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if !reflect.DeepEqual(dec.Entries, b.Trace.Entries) {
+			t.Errorf("%s: decoded entries differ from the emulated trace", name)
+		}
+		if !reflect.DeepEqual(deps, b.Deps) {
+			t.Errorf("%s: decoded dependences differ from ComputeDeps", name)
+		}
+	}
+
+	if os.Getenv("UPDATE_TRACESTORE_GOLDEN") != "" {
+		if err := os.WriteFile(workloadDigestsPath, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("workload digests regenerated; re-run without UPDATE_TRACESTORE_GOLDEN")
+	}
+	want, err := os.ReadFile(workloadDigestsPath)
+	if err != nil {
+		t.Fatalf("reading pins (regenerate with UPDATE_TRACESTORE_GOLDEN=1): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("workload trace encodings differ from the pins:\ngot:\n%swant:\n%s", got.String(), want)
 	}
 }
