@@ -1,6 +1,7 @@
 package speculate_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
@@ -18,9 +19,9 @@ import (
 //	go test -run TestWriteBenchBaseline -bench-baseline -bench-label "short description" .
 //
 // The file is append-only history: each entry captures ns/op, B/op and
-// allocs/op for BenchmarkSimulatorThroughput and BenchmarkFigure9 at one
-// commit, so regressions and wins stay visible over time (see
-// docs/PERFORMANCE.md).
+// allocs/op for the simulator, grid and trace-replay benchmarks at one
+// commit, with the host it ran on, so regressions and wins stay visible
+// over time (see docs/PERFORMANCE.md).
 var (
 	benchBaseline = flag.Bool("bench-baseline", false, "measure simulator benchmarks and append an entry to BENCH_simulator.json")
 	benchLabel    = flag.String("bench-label", "", "label for the BENCH_simulator.json entry")
@@ -32,10 +33,19 @@ type benchEntry struct {
 	AllocsPerOp int64 `json:"allocs_per_op"`
 }
 
+// benchHost fingerprints the measuring host: a figure is only comparable
+// with one taken on as many CPUs, under the same GOMAXPROCS and GOARCH.
+type benchHost struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GOARCH     string `json:"goarch"`
+}
+
 type benchRecord struct {
 	Label      string                `json:"label"`
 	Date       string                `json:"date"`
 	Go         string                `json:"go"`
+	Host       benchHost             `json:"host"`
 	Benchmarks map[string]benchEntry `json:"benchmarks"`
 	// KernelsPostdomsSpeedupPct records each kernels-family workload's
 	// postdoms speedup over the superscalar baseline at this commit, so
@@ -76,13 +86,19 @@ func TestWriteBenchBaseline(t *testing.T) {
 		Label: *benchLabel,
 		Date:  time.Now().UTC().Format("2006-01-02"),
 		Go:    runtime.Version(),
+		Host: benchHost{
+			NumCPU:     runtime.NumCPU(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			GOARCH:     runtime.GOARCH,
+		},
 		Benchmarks: map[string]benchEntry{
-			"SimulatorThroughput": measure(BenchmarkSimulatorThroughput),
-			"Figure9":             measure(BenchmarkFigure9),
-			"KernelsGrid":         measure(BenchmarkKernelsGrid),
-			"TraceReplay":         measure(BenchmarkTraceReplay),
-			"GridPerCell":         measure(BenchmarkGridPerCell),
-			"GridBatched":         measure(BenchmarkGridBatched),
+			"SimulatorThroughput":         measure(BenchmarkSimulatorThroughput),
+			"SimulatorThroughputPolyFlow": measure(BenchmarkSimulatorThroughputPolyFlow),
+			"Figure9":                     measure(BenchmarkFigure9),
+			"KernelsGrid":                 measure(BenchmarkKernelsGrid),
+			"TraceReplay":                 measure(BenchmarkTraceReplay),
+			"GridPerCell":                 measure(BenchmarkGridPerCell),
+			"GridBatched":                 measure(BenchmarkGridBatched),
 		},
 		KernelsPostdomsSpeedupPct: kernelsSpeedups(t),
 	}
@@ -99,11 +115,16 @@ func TestWriteBenchBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	hist.History = append(hist.History, raw)
-	data, err := json.MarshalIndent(&hist, "", "  ")
-	if err != nil {
+	// No HTML escaping: re-encoding must leave earlier entries' labels
+	// byte-identical ("->" would otherwise become "-\u003e").
+	var data bytes.Buffer
+	enc := json.NewEncoder(&data)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(&hist); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, data.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("recorded %+v", rec)

@@ -242,6 +242,22 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatorThroughputPolyFlow is BenchmarkSimulatorThroughput
+// with the Task Spawn Unit on: gzip under postdoms, so the spawn, divert,
+// squash and multi-task fetch paths are timed too.
+func BenchmarkSimulatorThroughputPolyFlow(b *testing.B) {
+	bench, err := speculate.Load("gzip")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bench.RunNamedContext(context.Background(), "postdoms", machine.PolyFlowConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAnalysisThroughput measures the static analysis pipeline plus
 // the trace dependence scan (ComputeDeps), the two pre-simulation passes
 // every workload pays once.

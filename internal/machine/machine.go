@@ -126,27 +126,19 @@ type sim struct {
 	ar     *arena
 	polled bool // Config.PolledScheduler: use the reference issue rescan
 
-	state   []uint8
-	fetchC  []int32
-	dispC   []int32
-	doneC   []int32
-	issueC  []int32
-	memWait []int32 // producer store the load must wait for (synchronized), or -1
-	memSpec []int32 // producer store the load speculates past (unsynchronized), or -1
+	// ring holds the per-instruction pipeline records of the in-flight
+	// trace indices below hi, one slot per index at i & ringMask
+	// (arena.go).
+	ring     []slot
+	ringMask int
+	hi       int
 
-	// Event-driven scheduler state (sched.go): producer wake lists, the
-	// wakeup time heap, and the trace-index-ordered ready queue.
-	wakeHead []int32
-	wakeNext [][3]int32
-	pendCnt  []uint8
-	readyAt  []int32
-	timeQ    []int64
-	readyQ   []int32
+	// Event-driven scheduler queues (sched.go): the wakeup time heap and
+	// the trace-index-ordered ready queue.
+	timeQ  []int64
+	readyQ []int32
 
-	// Per-store watch lists of speculative loads (sched.go).
-	watchHead []int32
-	watchNext []int32
-	watchTmp  []int32
+	watchTmp []int32 // fireWatch scratch (sched.go)
 
 	tasks      []*task
 	freeTasks  []*task
@@ -279,10 +271,17 @@ func Run(tr *trace.Trace, deps *trace.Deps, src core.Source, cfg Config) (Result
 // predictable branch per cycle; a Background context costs the same and
 // never fires.
 func RunContext(ctx context.Context, tr *trace.Trace, deps *trace.Deps, src core.Source, cfg Config) (Result, error) {
+	s := newSim(tr, deps, src, cfg)
+	defer s.release()
+	return s.run(ctx)
+}
+
+// newSim readies a run: predictors, a pooled arena with a ringSize(cfg)
+// slot ring, the initial task and the warmed-up front end.
+func newSim(tr *trace.Trace, deps *trace.Deps, src core.Source, cfg Config) *sim {
 	if deps == nil {
 		deps = tr.ComputeDeps()
 	}
-	n := tr.Len()
 	s := &sim{
 		cfg:    cfg,
 		tr:     tr.Entries,
@@ -295,9 +294,8 @@ func RunContext(ctx context.Context, tr *trace.Trace, deps *trace.Deps, src core
 		caches: cfg.Caches,
 		ss:     newStoreSets(cfg.StoreSetWays),
 	}
-	ar := getArena(n)
+	ar := getArena(ringSize(cfg))
 	s.bind(ar)
-	defer s.release()
 	if s.caches == nil {
 		s.caches = ar.defaultCaches()
 	}
@@ -323,16 +321,19 @@ func RunContext(ctx context.Context, tr *trace.Trace, deps *trace.Deps, src core
 		s.att.Site(0, attrib.Root).Spawns++
 	}
 	if w := cfg.WarmupInstrs; w > 0 {
-		if w > n {
-			w = n
-		}
-		s.warmup(w)
+		s.warmup(min(w, tr.Len()))
 	}
 	if cfg.Telemetry != nil {
 		s.bindTelemetry(cfg.Telemetry)
 		s.emit(telemetry.EvTaskSpawn, 0, int64(s.tasks[0].start), -1)
 	}
+	return s
+}
 
+// run drives the cycle loop until the whole trace has retired, ctx is
+// done, or MaxCycles is reached.
+func (s *sim) run(ctx context.Context) (Result, error) {
+	n, cfg := len(s.tr), &s.cfg
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done() // capture once; Done() may allocate lazily
@@ -478,14 +479,13 @@ func (s *sim) warmup(w int) {
 		if e.IsLoad() || e.IsStore() {
 			s.caches.L1D.Access(e.Addr)
 		}
-		// Warmed-up instructions count as long retired, so dependence
-		// checks against them succeed immediately.
-		s.state[i] = stRetired
-		s.fetchC[i], s.dispC[i], s.issueC[i], s.doneC[i] = 0, 0, 0, 0
 	}
 	t.start, t.fetchIdx, t.dispIdx = w, w, w
 	t.hist = hist
 	s.retireIdx = w
+	// Warmed-up instructions count as long retired (doneOf, dispOf), so
+	// dependence checks against them succeed immediately.
+	s.hi = w
 	s.warmStart = w
 	s.lastSampleRet = w
 	// Report post-warmup cache statistics only.
@@ -533,10 +533,14 @@ func (s *sim) retire() {
 	n := len(s.tr)
 	for c := 0; c < s.cfg.CommitWidth && s.retireIdx < n; c++ {
 		i := s.retireIdx
-		if s.state[i] != stIssued || s.doneC[i] == never || int64(s.doneC[i]) > s.cycle {
+		if i >= s.hi {
+			return // not fetched yet
+		}
+		sl := s.at(i)
+		if sl.state != stIssued || sl.doneC == never || int64(sl.doneC) > s.cycle {
 			return
 		}
-		s.state[i] = stRetired
+		sl.state = stRetired
 		s.robUsed--
 		head := s.tasks[0]
 		head.inflight--
@@ -590,11 +594,12 @@ func (s *sim) latency(e *trace.Entry) int32 {
 // store register on its watch list, and (event mode) waiters on i wake.
 func (s *sim) issueOne(i int) {
 	s.schedUsed--
-	s.state[i] = stIssued
-	s.issueC[i] = int32(s.cycle)
+	sl := s.at(i)
+	sl.state = stIssued
+	sl.issueC = int32(s.cycle)
 	e := &s.tr[i]
 	done := int32(s.cycle) + s.latency(e)
-	s.doneC[i] = done
+	sl.doneC = done
 
 	if e.IsStore() {
 		// Any speculative loads that already issued before this store's
@@ -602,12 +607,12 @@ func (s *sim) issueOne(i int) {
 		s.fireWatch(i, done)
 	}
 	if e.IsLoad() {
-		if p := int(s.memSpec[i]); p >= 0 {
-			switch {
-			case s.doneC[p] == never:
+		if p := int(sl.memSpec); p >= 0 {
+			switch d := s.doneOf(p); {
+			case d == never:
 				s.watchAdd(p, i)
-			case s.doneC[p] > s.issueC[i]:
-				s.viols = append(s.viols, violation{load: i, store: p, detect: int64(s.doneC[p])})
+			case d > sl.issueC:
+				s.viols = append(s.viols, violation{load: i, store: p, detect: int64(d)})
 			}
 		}
 	}
@@ -625,7 +630,7 @@ func (s *sim) moveDivertQueue() {
 	kept := s.dq[:0]
 	head := s.tasks[0]
 	for _, en := range s.dq {
-		if s.state[en.idx] != stDiverted { // squashed
+		if s.at(en.idx).state != stDiverted { // squashed
 			continue
 		}
 		if moved >= s.cfg.Width {
@@ -635,7 +640,7 @@ func (s *sim) moveDivertQueue() {
 		readyToMove := true
 		for k := 0; k < int(en.n); k++ {
 			p := en.prods[k]
-			if p >= 0 && int64(s.dispC[p]) >= s.cycle { // "some time after" dispatch
+			if p >= 0 && int64(s.dispOf(int(p))) >= s.cycle { // "some time after" dispatch
 				readyToMove = false
 				break
 			}
@@ -665,8 +670,9 @@ func (s *sim) haveBackendSpace(isHead bool) bool {
 }
 
 func (s *sim) enterScheduler(i int) {
-	s.dispC[i] = int32(s.cycle)
-	s.state[i] = stInSched
+	sl := s.at(i)
+	sl.dispC = int32(s.cycle)
+	sl.state = stInSched
 	s.robUsed++
 	s.schedUsed++
 	if s.polled {
@@ -683,10 +689,10 @@ func (s *sim) enterScheduler(i int) {
 // task or the store-set predictor flags it, speculative (memSpec)
 // otherwise.
 func (s *sim) classifyMemDep(i int, t *task) {
-	// Reset for every instruction: the arena does not bulk-initialize these
-	// arrays, so this rename-time write is what makes their values defined
-	// (and a re-dispatch after a squash re-classifies).
-	s.memWait[i], s.memSpec[i] = never, never
+	// Reset for every instruction: a re-dispatch after a squash
+	// re-classifies.
+	sl := s.at(i)
+	sl.memWait, sl.memSpec = never, never
 	e := &s.tr[i]
 	if !e.IsLoad() {
 		return
@@ -696,9 +702,9 @@ func (s *sim) classifyMemDep(i int, t *task) {
 		return
 	}
 	if p >= t.start || s.ss.predicts(e.PC, s.tr[p].PC) {
-		s.memWait[i] = int32(p)
+		sl.memWait = int32(p)
 	} else {
-		s.memSpec[i] = int32(p)
+		sl.memSpec = int32(p)
 	}
 }
 
@@ -709,10 +715,11 @@ func (s *sim) dispatch() {
 		isHead := ti == 0
 		for budget > 0 {
 			i := t.dispIdx
-			if i >= t.fetchIdx || s.state[i] != stFetched {
+			if i >= t.fetchIdx {
 				break
 			}
-			if int64(s.fetchC[i])+int64(s.cfg.FrontEndDepth) > s.cycle {
+			sl := s.at(i)
+			if sl.state != stFetched || int64(sl.fetchC)+int64(s.cfg.FrontEndDepth) > s.cycle {
 				break
 			}
 			s.classifyMemDep(i, t)
@@ -725,12 +732,12 @@ func (s *sim) dispatch() {
 			e := &s.tr[i]
 			for k := 0; k < int(e.NSrc); k++ {
 				p := s.deps.RegProd[i][k]
-				if p >= 0 && int(p) < t.start && s.dispC[p] == never {
+				if p >= 0 && int(p) < t.start && s.dispOf(int(p)) == never {
 					prods[np] = p
 					np++
 				}
 			}
-			if p := s.memWait[i]; p >= 0 && int(p) < t.start && s.dispC[p] == never {
+			if p := sl.memWait; p >= 0 && int(p) < t.start && s.dispOf(int(p)) == never {
 				prods[np] = p
 				np++
 			}
@@ -739,7 +746,7 @@ func (s *sim) dispatch() {
 				if len(s.dq) >= s.cfg.DivertQSize {
 					break
 				}
-				s.state[i] = stDiverted
+				sl.state = stDiverted
 				s.dq = append(s.dq, dqEntry{idx: i, prods: prods, n: uint8(np)})
 				s.stats.Diverted++
 				if s.tel != nil {
@@ -775,7 +782,7 @@ func (s *sim) taskEligible(t *task) bool {
 		return false
 	}
 	if t.pendingRedirect >= 0 {
-		d := s.doneC[t.pendingRedirect]
+		d := s.at(t.pendingRedirect).doneC
 		if d == never {
 			return false
 		}
@@ -864,8 +871,12 @@ func (s *sim) fetchTask(t *task, bw int) {
 			}
 		}
 
-		s.fetchC[i] = int32(s.cycle)
-		s.state[i] = stFetched
+		if i >= s.hi {
+			s.extend(i)
+		}
+		sl := s.at(i)
+		sl.fetchC = int32(s.cycle)
+		sl.state = stFetched
 		t.inflight++
 		t.fetchIdx++
 
@@ -1110,9 +1121,9 @@ func (s *sim) processViolations() {
 	alive := func(v violation) bool {
 		// The load may have been squashed (and perhaps refetched) since
 		// the violation was queued; the recorded condition must still hold.
-		return s.state[v.load] >= stIssued && s.state[v.load] != stRetired &&
-			s.issueC[v.load] != never && s.doneC[v.store] != never &&
-			s.issueC[v.load] < s.doneC[v.store]
+		l, d := s.at(v.load), s.at(v.store).doneC
+		return l.state >= stIssued && l.state != stRetired &&
+			l.issueC != never && d != never && l.issueC < d
 	}
 	chosen := violation{load: -1}
 	kept := s.viols[:0]
@@ -1225,7 +1236,8 @@ func (s *sim) resetRangeCharged(t *task, lo, hi int) {
 // entries [lo, hi), releasing their backend resources.
 func (s *sim) resetRange(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		switch s.state[i] {
+		sl := s.at(i)
+		switch sl.state {
 		case stNone, stRetired:
 			continue
 		case stInSched:
@@ -1239,14 +1251,11 @@ func (s *sim) resetRange(lo, hi int) {
 			}
 		case stIssued:
 			s.robUsed--
-			if p := s.memSpec[i]; p >= 0 && s.doneC[p] == never {
+			if p := sl.memSpec; p >= 0 && s.doneOf(int(p)) == never {
 				s.unlinkWatch(int(p), int32(i))
 			}
 		}
-		s.state[i] = stNone
-		s.fetchC[i], s.dispC[i], s.issueC[i], s.doneC[i] = never, never, never, never
-		s.memWait[i], s.memSpec[i] = never, never
-		s.wakeHead[i], s.watchHead[i] = -1, -1
+		*sl = freshSlot
 		s.stats.SquashedInstrs++
 	}
 }

@@ -14,7 +14,7 @@ func (s *sim) issuePolled() {
 	kept := s.sched[:0]
 	for _, idx := range s.sched {
 		i := int(idx)
-		if s.state[i] != stInSched { // squashed since
+		if s.at(i).state != stInSched { // squashed since
 			continue
 		}
 		if issued >= s.cfg.NumFUs || !s.ready(i) {
@@ -31,22 +31,26 @@ func (s *sim) issuePolled() {
 // an earlier cycle, with every register producer and any synchronized
 // store completed.
 func (s *sim) ready(i int) bool {
-	if int64(s.dispC[i]) >= s.cycle {
+	sl := s.at(i)
+	if int64(sl.dispC) >= s.cycle {
 		return false
 	}
 	e := &s.tr[i]
 	for k := 0; k < int(e.NSrc); k++ {
-		p := s.deps.RegProd[i][k]
-		if p >= 0 && (s.doneC[p] == never || int64(s.doneC[p]) > s.cycle) {
+		if p := int(s.deps.RegProd[i][k]); p >= 0 && !s.doneBy(p) {
 			return false
 		}
 	}
-	if p := s.memWait[i]; p >= 0 {
-		if s.doneC[p] == never || int64(s.doneC[p]) > s.cycle {
-			return false
-		}
+	if p := int(sl.memWait); p >= 0 && !s.doneBy(p) {
+		return false
 	}
 	return true
+}
+
+// doneBy reports whether producer p has completed by the current cycle.
+func (s *sim) doneBy(p int) bool {
+	d := s.doneOf(p)
+	return d != never && int64(d) <= s.cycle
 }
 
 // enterSchedulerPolled inserts i into the sorted scheduler slice (oldest-

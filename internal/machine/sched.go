@@ -4,7 +4,8 @@
 //
 // An instruction entering the scheduler counts its not-yet-completed
 // producers (pendCnt) and links itself onto each one's wake list, an
-// intrusive singly-linked list threaded through per-instruction arrays.
+// intrusive singly-linked list threaded through the instructions' ring
+// slots (arena.go).
 // When a producer issues, it walks its wake list once; a waiter whose last
 // outstanding producer just completed knows its exact ready cycle
 // (max of dispatch+1 and every producer's completion) and is pushed onto a
@@ -30,32 +31,35 @@ const memSlot = 2
 // schedules its wakeup. Counterpart of the polled path's sorted insert.
 func (s *sim) enterSchedulerEvent(i int) {
 	e := &s.tr[i]
+	sl := s.at(i)
 	pend := uint8(0)
 	ra := int32(s.cycle) + 1
 	for k := 0; k < int(e.NSrc); k++ {
-		p := s.deps.RegProd[i][k]
+		p := int(s.deps.RegProd[i][k])
 		if p < 0 {
 			continue
 		}
-		if d := s.doneC[p]; d == never {
-			s.wakeNext[i][k] = s.wakeHead[p]
-			s.wakeHead[p] = int32(i)<<2 | int32(k)
+		if d := s.doneOf(p); d == never {
+			ps := s.at(p)
+			sl.wakeNext[k] = ps.wakeHead
+			ps.wakeHead = int32(i)<<2 | int32(k)
 			pend++
 		} else if d > ra {
 			ra = d
 		}
 	}
-	if p := s.memWait[i]; p >= 0 {
-		if d := s.doneC[p]; d == never {
-			s.wakeNext[i][memSlot] = s.wakeHead[p]
-			s.wakeHead[p] = int32(i)<<2 | memSlot
+	if p := int(sl.memWait); p >= 0 {
+		if d := s.doneOf(p); d == never {
+			ps := s.at(p)
+			sl.wakeNext[memSlot] = ps.wakeHead
+			ps.wakeHead = int32(i)<<2 | memSlot
 			pend++
 		} else if d > ra {
 			ra = d
 		}
 	}
-	s.pendCnt[i] = pend
-	s.readyAt[i] = ra
+	sl.pendCnt = pend
+	sl.readyAt = ra
 	if pend == 0 {
 		s.pushTime(ra, int32(i))
 	}
@@ -64,19 +68,21 @@ func (s *sim) enterSchedulerEvent(i int) {
 // fireWake walks producer p's wake list after p's completion cycle became
 // known. Waiters whose last producer this was get their wakeup scheduled.
 func (s *sim) fireWake(p int, done int32) {
-	e := s.wakeHead[p]
+	ps := s.at(p)
+	e := ps.wakeHead
 	if e < 0 {
 		return
 	}
-	s.wakeHead[p] = -1
+	ps.wakeHead = -1
 	for e >= 0 {
 		i, k := int(e>>2), e&3
-		e = s.wakeNext[i][k]
-		if done > s.readyAt[i] {
-			s.readyAt[i] = done
+		w := s.at(i)
+		e = w.wakeNext[k]
+		if done > w.readyAt {
+			w.readyAt = done
 		}
-		if s.pendCnt[i]--; s.pendCnt[i] == 0 {
-			s.pushTime(s.readyAt[i], int32(i))
+		if w.pendCnt--; w.pendCnt == 0 {
+			s.pushTime(w.readyAt, int32(i))
 		}
 	}
 }
@@ -88,29 +94,30 @@ func (s *sim) fireWake(p int, done int32) {
 func (s *sim) unlinkWakeEdges(i int) {
 	e := &s.tr[i]
 	for k := 0; k < int(e.NSrc); k++ {
-		if p := s.deps.RegProd[i][k]; p >= 0 && s.doneC[p] == never {
-			s.removeWakeEdge(int(p), int32(i)<<2|int32(k))
+		if p := int(s.deps.RegProd[i][k]); p >= 0 && s.doneOf(p) == never {
+			s.removeWakeEdge(p, int32(i)<<2|int32(k))
 		}
 	}
-	if p := s.memWait[i]; p >= 0 && s.doneC[p] == never {
-		s.removeWakeEdge(int(p), int32(i)<<2|memSlot)
+	if p := int(s.at(i).memWait); p >= 0 && s.doneOf(p) == never {
+		s.removeWakeEdge(p, int32(i)<<2|memSlot)
 	}
 }
 
 func (s *sim) removeWakeEdge(p int, edge int32) {
-	cur := s.wakeHead[p]
+	ps := s.at(p)
+	after := s.at(int(edge >> 2)).wakeNext[edge&3]
+	cur := ps.wakeHead
 	if cur == edge {
-		s.wakeHead[p] = s.wakeNext[edge>>2][edge&3]
+		ps.wakeHead = after
 		return
 	}
 	for cur >= 0 {
-		ci, ck := int(cur>>2), cur&3
-		next := s.wakeNext[ci][ck]
-		if next == edge {
-			s.wakeNext[ci][ck] = s.wakeNext[edge>>2][edge&3]
+		link := &s.at(int(cur >> 2)).wakeNext[cur&3]
+		if *link == edge {
+			*link = after
 			return
 		}
-		cur = next
+		cur = *link
 	}
 }
 
@@ -118,8 +125,9 @@ func (s *sim) removeWakeEdge(p int, edge int32) {
 // decision flows through it, so stale heap entries can only delay a check,
 // never produce a wrong one.
 func (s *sim) eventReady(i int) bool {
-	return s.state[i] == stInSched && s.pendCnt[i] == 0 &&
-		int64(s.readyAt[i]) <= s.cycle && int64(s.dispC[i]) < s.cycle
+	sl := s.at(i)
+	return sl.state == stInSched && sl.pendCnt == 0 &&
+		int64(sl.readyAt) <= s.cycle && int64(sl.dispC) < s.cycle
 }
 
 // issueEvent is the event-driven issue stage: due wakeups move to the
@@ -263,28 +271,30 @@ func (s *sim) purgeQueues(lo int) {
 
 // watchAdd registers issued load l on store p's watch list.
 func (s *sim) watchAdd(p, l int) {
-	s.watchNext[l] = s.watchHead[p]
-	s.watchHead[p] = int32(l)
+	ps := s.at(p)
+	s.at(l).watchNext = ps.watchHead
+	ps.watchHead = int32(l)
 }
 
 // fireWatch flags loads that issued before store i's data became available.
 // The list is walked oldest-registration-first (matching the append order
 // of the map-based implementation) so violation records keep their order.
 func (s *sim) fireWatch(i int, done int32) {
-	h := s.watchHead[i]
+	is := s.at(i)
+	h := is.watchHead
 	if h < 0 {
 		return
 	}
-	s.watchHead[i] = -1
+	is.watchHead = -1
 	tmp := s.watchTmp[:0]
-	for l := h; l >= 0; l = s.watchNext[l] {
+	for l := h; l >= 0; l = s.at(int(l)).watchNext {
 		tmp = append(tmp, l)
 	}
 	s.watchTmp = tmp
 	for k := len(tmp) - 1; k >= 0; k-- {
 		li := int(tmp[k])
-		if s.state[li] >= stIssued && s.state[li] != stRetired &&
-			s.issueC[li] != never && s.issueC[li] < done {
+		if l := s.at(li); l.state >= stIssued && l.state != stRetired &&
+			l.issueC != never && l.issueC < done {
 			s.viols = append(s.viols, violation{load: li, store: i, detect: int64(done)})
 		}
 	}
@@ -292,18 +302,19 @@ func (s *sim) fireWatch(i int, done int32) {
 
 // unlinkWatch removes squashed load l from store p's watch list.
 func (s *sim) unlinkWatch(p int, l int32) {
-	cur := s.watchHead[p]
-	if cur == l {
-		s.watchHead[p] = s.watchNext[l]
+	ps := s.at(p)
+	after := s.at(int(l)).watchNext
+	if ps.watchHead == l {
+		ps.watchHead = after
 		return
 	}
-	for cur >= 0 {
-		next := s.watchNext[cur]
-		if next == l {
-			s.watchNext[cur] = s.watchNext[l]
+	for cur := ps.watchHead; cur >= 0; {
+		link := &s.at(int(cur)).watchNext
+		if *link == l {
+			*link = after
 			return
 		}
-		cur = next
+		cur = *link
 	}
 }
 

@@ -217,9 +217,11 @@ func checkAttribution(src string) error {
 }
 
 // machineStressConfigs mirrors the hand-written differential test's
-// configurations: a tiny scheduler, ROB reclaim, a small hint cache, and a
-// short divert queue each exercise a different structural difference
-// between the two scheduler implementations.
+// configurations: a tiny scheduler, ROB reclaim and a short divert queue
+// each exercise a different structural difference between the two
+// scheduler implementations. The wide window (16 tasks, any of which may
+// spawn, up to 1024 instructions ahead) spreads the in-flight indices
+// furthest across the machine's slot ring.
 func machineStressConfigs() map[string]machine.Config {
 	tiny := machine.PolyFlowConfig()
 	tiny.SchedSize = 12
@@ -234,11 +236,18 @@ func machineStressConfigs() map[string]machine.Config {
 	divert := machine.PolyFlowConfig()
 	divert.DivertQSize = 8
 
+	wide := machine.PolyFlowConfig()
+	wide.MaxTasks = 16
+	wide.MaxSpawnDistance = 1024
+	wide.FetchBufPerTask = 128
+	wide.SpawnFromTailOnly = false
+
 	return map[string]machine.Config{
-		"polyflow":   machine.PolyFlowConfig(),
-		"tiny-sched": tiny,
-		"reclaim":    reclaim,
-		"divert-8":   divert,
+		"polyflow":    machine.PolyFlowConfig(),
+		"tiny-sched":  tiny,
+		"reclaim":     reclaim,
+		"divert-8":    divert,
+		"wide-window": wide,
 	}
 }
 

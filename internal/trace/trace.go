@@ -76,13 +76,43 @@ type Trace struct {
 func (t *Trace) Len() int { return len(t.Entries) }
 
 // buildIndex constructs the per-PC occurrence index lazily (goroutine-safe:
-// experiment sweeps simulate one trace concurrently).
+// experiment sweeps simulate one trace concurrently). A counting pass
+// numbers the distinct PCs and sizes their lists, then a fill pass writes
+// every list into one exact-size backing array, so each list has
+// cap == len and the index holds one int32 per entry plus one map entry
+// per PC.
 func (t *Trace) buildIndex() {
 	t.occOnce.Do(func() {
-		t.occ = make(map[uint64][]int32, 1024)
+		ids := make(map[uint64]int32, 1024)
+		var next []int32 // per PC id: its count, then its next free position
 		for i := range t.Entries {
 			pc := t.Entries[i].PC
-			t.occ[pc] = append(t.occ[pc], int32(i))
+			id, ok := ids[pc]
+			if !ok {
+				id = int32(len(next))
+				ids[pc] = id
+				next = append(next, 0)
+			}
+			next[id]++
+		}
+		off := int32(0)
+		for id, c := range next {
+			next[id] = off
+			off += c
+		}
+		backing := make([]int32, len(t.Entries))
+		for i := range t.Entries {
+			id := ids[t.Entries[i].PC]
+			backing[next[id]] = int32(i)
+			next[id]++
+		}
+		t.occ = make(map[uint64][]int32, len(ids))
+		for pc, id := range ids {
+			start := int32(0)
+			if id > 0 {
+				start = next[id-1]
+			}
+			t.occ[pc] = backing[start:next[id]:next[id]]
 		}
 	})
 }

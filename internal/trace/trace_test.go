@@ -202,3 +202,48 @@ func TestMemoryDepsMatchesByteMapReference(t *testing.T) {
 		}
 	}
 }
+
+// TestOccurrenceIndexExact: the built index stores each PC's list in one
+// shared exact-size backing array (cap == len, lengths summing to Len()),
+// lists every index exactly once in ascending order under its own PC, and
+// NextOccurrence agrees with a brute-force scan.
+func TestOccurrenceIndexExact(t *testing.T) {
+	const n, pcs = 5000, 37
+	tr := &Trace{Entries: make([]Entry, n)}
+	x := uint32(2463534242)
+	for i := range tr.Entries {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		tr.Entries[i].PC = 0x400000 + 4*uint64(x%pcs)
+	}
+	total := 0
+	for p := uint64(0); p <= pcs; p++ { // one PC past the range never retires
+		pc := 0x400000 + 4*p
+		occ := tr.Occurrences(pc)
+		if cap(occ) != len(occ) {
+			t.Errorf("PC %#x: cap %d != len %d", pc, cap(occ), len(occ))
+		}
+		total += len(occ)
+		for k, ix := range occ {
+			if tr.Entries[ix].PC != pc || (k > 0 && ix <= occ[k-1]) {
+				t.Fatalf("PC %#x: bad list %v", pc, occ)
+			}
+		}
+		for after := -1; after < n; after += 7 {
+			want := -1
+			for i := after + 1; i < n; i++ {
+				if tr.Entries[i].PC == pc {
+					want = i
+					break
+				}
+			}
+			if got := tr.NextOccurrence(pc, after); got != want {
+				t.Fatalf("NextOccurrence(%#x, %d) = %d, want %d", pc, after, got, want)
+			}
+		}
+	}
+	if total != tr.Len() {
+		t.Errorf("occurrence lists hold %d indices, trace has %d entries", total, tr.Len())
+	}
+}
