@@ -401,7 +401,7 @@ func (a *assembler) checkWidth(it *item, v int64, width int) error {
 		return nil
 	}
 	lo := int64(-1) << (8*width - 1) // e.g. -128 for .byte
-	hi := int64(1)<<(8*width) - 1   // e.g. 255 for .byte
+	hi := int64(1)<<(8*width) - 1    // e.g. 255 for .byte
 	if v < lo || v > hi {
 		return a.errf(it.line, "%s value %d out of range %d..%d", it.mnem, v, lo, hi)
 	}

@@ -22,7 +22,7 @@ type line struct {
 // Cache is one level of set-associative cache with true-LRU replacement.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	lines    []line // set s is lines[s*Assoc : (s+1)*Assoc]
 	setMask  uint64
 	lineBits uint
 	tick     uint64
@@ -41,12 +41,9 @@ func New(cfg Config, next *Cache) *Cache {
 	}
 	c := &Cache{
 		cfg:     cfg,
-		sets:    make([][]line, numSets),
+		lines:   make([]line, numSets*cfg.Assoc),
 		setMask: uint64(numSets - 1),
 		next:    next,
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
 	}
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
 		c.lineBits++
@@ -57,6 +54,23 @@ func New(cfg Config, next *Cache) *Cache {
 // LineBytes returns the line size of this level.
 func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 
+// WorstLatency returns the extra latency of an access that misses this
+// level and every level below it: the largest value Access can return.
+func (c *Cache) WorstLatency() int {
+	lat := 0
+	for l := c; l != nil; l = l.next {
+		lat += l.cfg.MissLatency
+	}
+	return lat
+}
+
+// set returns the ways of the set that holds tag.
+func (c *Cache) set(tag uint64) []line {
+	a := c.cfg.Assoc
+	s := int(tag&c.setMask) * a
+	return c.lines[s : s+a : s+a]
+}
+
 // LineOf returns the line-aligned address containing addr.
 func (c *Cache) LineOf(addr uint64) uint64 { return addr >> c.lineBits << c.lineBits }
 
@@ -66,7 +80,7 @@ func (c *Cache) Access(addr uint64) int {
 	c.tick++
 	c.Accesses++
 	tag := addr >> c.lineBits
-	set := c.sets[tag&c.setMask]
+	set := c.set(tag)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i].lru = c.tick
@@ -97,11 +111,7 @@ func (c *Cache) Access(addr uint64) int {
 // cache to its just-built state so pooled hierarchies can be reused across
 // runs.
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
+	clear(c.lines)
 	c.tick = 0
 	c.Accesses, c.Misses = 0, 0
 }
@@ -109,7 +119,7 @@ func (c *Cache) Reset() {
 // Probe reports whether addr currently hits, without updating state.
 func (c *Cache) Probe(addr uint64) bool {
 	tag := addr >> c.lineBits
-	set := c.sets[tag&c.setMask]
+	set := c.set(tag)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return true

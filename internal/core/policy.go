@@ -20,15 +20,37 @@ type Source interface {
 
 // StaticSource is a Source backed by a fixed table — the model of the
 // paper's hint cache loaded from compiler-generated binary sections
-// (capacity and conflict effects are not modeled, as in the paper).
+// (capacity and conflict effects are not modeled, as in the paper). The
+// table is flattened once, at construction, into an open-addressed PC
+// index over per-PC spawn lists, so the per-fetch lookup touches no Go
+// map. A StaticSource is read-only after construction and may be shared
+// by concurrent runs.
 type StaticSource struct {
-	T Table
+	ids    trace.PCIndex
+	spawns [][]Spawn // by PC id
+}
+
+// NewStaticSource flattens t into a StaticSource. The spawn lists are
+// shared with t, which must not be modified afterwards.
+func NewStaticSource(t Table) *StaticSource {
+	s := &StaticSource{ids: trace.NewPCIndex(len(t)), spawns: make([][]Spawn, 0, len(t))}
+	for pc, sp := range t {
+		s.ids.ID(pc)
+		s.spawns = append(s.spawns, sp)
+	}
+	return s
 }
 
 // SpawnsAt implements Source.
-func (s *StaticSource) SpawnsAt(pc uint64) []Spawn { return s.T[pc] }
+func (s *StaticSource) SpawnsAt(pc uint64) []Spawn {
+	if id := s.ids.Lookup(pc); id >= 0 {
+		return s.spawns[id]
+	}
+	return nil
+}
 
-// OnRetire implements Source (static tables do not train).
+// OnRetire implements Source (static tables do not train; the machine
+// skips the call for a StaticSource).
 func (s *StaticSource) OnRetire(e *trace.Entry) {}
 
 // Policy selects which spawn categories a configuration uses.
@@ -62,7 +84,7 @@ func (p Policy) Table(a *Analysis) Table {
 
 // Source returns a StaticSource for the policy over the given analysis.
 func (p Policy) Source(a *Analysis) *StaticSource {
-	return &StaticSource{T: p.Table(a)}
+	return NewStaticSource(p.Table(a))
 }
 
 // The individual heuristic policies of Figure 9.

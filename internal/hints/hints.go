@@ -173,5 +173,5 @@ func (s *Section) Table() core.Table {
 // Source returns a core.Source backed by the decoded section — the
 // hint-cache contents a spawn unit would load on demand.
 func (s *Section) Source() *core.StaticSource {
-	return &core.StaticSource{T: s.Table()}
+	return core.NewStaticSource(s.Table())
 }

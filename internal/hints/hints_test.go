@@ -166,11 +166,11 @@ func TestDecodedSectionDrivesTheMachine(t *testing.T) {
 	}
 	// The section carries ALL spawn kinds (postdoms + loop), so filter:
 	// compare against the full-table source instead.
-	full := &core.StaticSource{T: core.Table{}}
+	full := core.Table{}
 	for _, sp := range a.Spawns {
-		full.T[sp.From] = append(full.T[sp.From], sp)
+		full[sp.From] = append(full[sp.From], sp)
 	}
-	r3, err := machine.Run(tr, nil, full, machine.PolyFlowConfig())
+	r3, err := machine.Run(tr, nil, core.NewStaticSource(full), machine.PolyFlowConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,10 +39,10 @@ func TestMultiEntryLoopIsNotNatural(t *testing.T) {
 func TestPartiallyIrreducible(t *testing.T) {
 	succs := [][]int{
 		0: {1, 4},
-		1: {2},     // natural loop header (dominates its latch 2)
-		2: {1, 3},  // latch
+		1: {2},    // natural loop header (dominates its latch 2)
+		2: {1, 3}, // latch
 		3: {7},
-		4: {5, 6},  // entry a of the irreducible cycle 5↔6
+		4: {5, 6}, // entry a of the irreducible cycle 5↔6
 		5: {6, 7},
 		6: {5},
 		7: {},

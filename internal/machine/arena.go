@@ -75,8 +75,10 @@ func ringSize(cfg Config) int {
 type arena struct {
 	ring []slot
 
-	// Event-driven scheduler queues (sched.go).
-	timeQ  []int64
+	// Event-driven scheduler queues (sched.go). The wheel keeps every
+	// bucket it has ever had, so a run's buckets reuse earlier runs'
+	// storage.
+	wheel  [][]int32
 	readyQ []int32
 
 	watchTmp []int32
@@ -117,7 +119,6 @@ func (a *arena) ensure(size int) {
 		a.ring = make([]slot, size)
 	}
 	a.ring = a.ring[:size]
-	a.timeQ = a.timeQ[:0]
 	a.readyQ = a.readyQ[:0]
 	a.watchTmp = a.watchTmp[:0]
 	a.sched = a.sched[:0]
@@ -126,6 +127,18 @@ func (a *arena) ensure(size int) {
 	a.chosen = a.chosen[:0]
 	a.tasks = a.tasks[:0]
 	a.profit.reset()
+}
+
+// wheelOf returns the arena's first n timing-wheel buckets, all empty.
+func (a *arena) wheelOf(n int) [][]int32 {
+	if len(a.wheel) < n {
+		a.wheel = append(a.wheel, make([][]int32, n-len(a.wheel))...)
+	}
+	w := a.wheel[:n]
+	for i := range w {
+		w[i] = w[i][:0]
+	}
+	return w
 }
 
 // defaultCaches returns the arena's pooled default hierarchy, reset for a
@@ -144,7 +157,6 @@ func (s *sim) bind(a *arena) {
 	s.ar = a
 	s.ring = a.ring
 	s.ringMask = len(a.ring) - 1
-	s.timeQ = a.timeQ
 	s.readyQ = a.readyQ
 	s.watchTmp = a.watchTmp
 	s.profit = &a.profit
@@ -164,7 +176,6 @@ func (s *sim) release() {
 		return
 	}
 	a.ring = s.ring
-	a.timeQ = s.timeQ
 	a.readyQ = s.readyQ
 	a.watchTmp = s.watchTmp
 	a.sched = s.sched

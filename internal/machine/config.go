@@ -138,11 +138,12 @@ type Config struct {
 	// PolledScheduler selects the original O(scheduler) per-cycle issue
 	// rescan instead of the event-driven producer-wakeup scheduler. The two
 	// are cycle-for-cycle identical (enforced by the differential tests);
-	// the polled path exists as the reference model and will be removed
-	// once the event path has soaked.
+	// the polled path is the permanent reference model the event path is
+	// checked against.
 	PolledScheduler bool
 
-	// Safety valve.
+	// Safety valve. Independently of it, a run in which nothing retires
+	// for a Config-derived number of cycles stops with ErrStalled.
 	MaxCycles int64
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/reconv"
 )
 
 // diffConfigs are machine configurations chosen to stress every structural
@@ -71,24 +72,46 @@ func TestEventPolledDifferential(t *testing.T) {
 
 // TestRunSteadyStateAllocs: with the arena pool warm, machine.Run must not
 // allocate per-trace-entry state — only a fixed handful of small setup
-// allocations (predictors, store sets, the sim itself) may remain.
+// allocations (predictors, store sets, the sim itself) may remain. The
+// superscalar run has no spawn source; the postdoms run shares one static
+// source across runs, as grid cells do; the rec_pred run builds a fresh
+// reconvergence predictor per run, as its cells do, whose tables grow per
+// static branch, never per instruction. Timing-wheel buckets come from the
+// arena.
 func TestRunSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
 	}
-	_, tr, _ := prep(t, hardHammockLoop)
-	cfg := SuperscalarConfig()
-	run := func() {
-		if _, err := Run(tr, nil, nil, cfg); err != nil {
-			t.Fatal(err)
-		}
+	p, tr, a := prep(t, hardHammockLoop)
+	static := core.PolicyPostdoms.Source(a)
+	cases := []struct {
+		name string
+		cfg  Config
+		src  func() core.Source
+	}{
+		{"superscalar", SuperscalarConfig(), func() core.Source { return nil }},
+		{"postdoms", PolyFlowConfig(), func() core.Source { return static }},
+		{"rec_pred", PolyFlowConfig(), func() core.Source {
+			return reconv.NewSource(reconv.New(reconv.DefaultConfig()), p)
+		}},
 	}
-	run() // warm the arena pool
-	allocs := minAllocsPerRun(run)
-	// The trace is ~46k entries; per-entry allocation would show up as
-	// thousands. The observed steady state is tens of allocations.
-	if allocs > 200 {
-		t.Fatalf("machine.Run allocates %v objects per run in steady state", allocs)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func() {
+				if _, err := Run(tr, nil, c.src(), c.cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm the arena pool
+			allocs := minAllocsPerRun(run)
+			// The trace is ~46k entries; per-entry allocation would show up
+			// as thousands. The observed steady state is tens of
+			// allocations.
+			if allocs > 200 {
+				t.Fatalf("machine.Run allocates %v objects per run in steady state", allocs)
+			}
+			t.Logf("%v allocations per run", allocs)
+		})
 	}
 }
 

@@ -67,7 +67,7 @@ func TestHintCacheConflict(t *testing.T) {
 // TestROBReserveAvoidsDeadlock documents why the head-task ROB reserve
 // exists: without it, younger tasks can fill the shared reorder buffer and
 // — since retirement is blocked behind the head's undispatched instructions
-// — the machine deadlocks. The MaxCycles guard catches it.
+// — the machine deadlocks. The progress watchdog catches it.
 func TestROBReserveAvoidsDeadlock(t *testing.T) {
 	_, tr, a := prep(t, hardHammockLoop)
 	cfg := PolyFlowConfig()

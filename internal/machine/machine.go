@@ -2,7 +2,9 @@ package machine
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/attrib"
 	"repro/internal/branchpred"
@@ -126,6 +128,10 @@ type sim struct {
 	ar     *arena
 	polled bool // Config.PolledScheduler: use the reference issue rescan
 
+	// trainer is src when it learns from the retirement stream, nil for a
+	// *core.StaticSource, whose OnRetire does nothing.
+	trainer core.Source
+
 	// ring holds the per-instruction pipeline records of the in-flight
 	// trace indices below hi, one slot per index at i & ringMask
 	// (arena.go).
@@ -133,10 +139,12 @@ type sim struct {
 	ringMask int
 	hi       int
 
-	// Event-driven scheduler queues (sched.go): the wakeup time heap and
-	// the trace-index-ordered ready queue.
-	timeQ  []int64
-	readyQ []int32
+	// Event-driven scheduler queues (sched.go): the timing wheel of
+	// wakeup buckets, indexed cycle & wheelMask and stored in the arena,
+	// and the trace-index-ordered ready queue.
+	wheel     [][]int32
+	wheelMask int
+	readyQ    []int32
 
 	watchTmp []int32 // fireWatch scratch (sched.go)
 
@@ -151,6 +159,8 @@ type sim struct {
 	dq         []dqEntry
 	retireIdx  int
 	cycle      int64
+	lastRetire int64 // cycle of the latest retirement (or the run's start)
+	stallLimit int64 // cycles without a retirement the watchdog tolerates
 	viols      []violation
 	profit     *profitTable // spawn-point profitability scores
 	hintTags   []uint64     // finite hint cache tags (nil = unmodeled)
@@ -299,6 +309,12 @@ func newSim(tr *trace.Trace, deps *trace.Deps, src core.Source, cfg Config) *sim
 	if s.caches == nil {
 		s.caches = ar.defaultCaches()
 	}
+	s.wheel = ar.wheelOf(wheelSize(s.caches))
+	s.wheelMask = len(s.wheel) - 1
+	s.stallLimit = stallLimit(cfg, s.caches)
+	if _, static := src.(*core.StaticSource); !static {
+		s.trainer = src
+	}
 	if cfg.HintCacheLog2 > 0 {
 		s.hintTags = make([]uint64, 1<<cfg.HintCacheLog2)
 	}
@@ -343,6 +359,9 @@ func (s *sim) run(ctx context.Context) (Result, error) {
 			return s.result(), fmt.Errorf("machine: exceeded MaxCycles=%d at retireIdx=%d/%d",
 				cfg.MaxCycles, s.retireIdx, n)
 		}
+		if s.cycle-s.lastRetire > s.stallLimit {
+			return s.result(), s.stalled()
+		}
 		if done != nil && s.cycle&1023 == 0 {
 			select {
 			case <-done:
@@ -380,6 +399,64 @@ func (s *sim) run(ctx context.Context) (Result, error) {
 		s.cycle++
 	}
 	return s.result(), nil
+}
+
+// ErrStalled is wrapped by the error run returns when the progress
+// watchdog fires: no instruction retired for longer than stallLimit allows,
+// which only a bug in the timing model can cause.
+var ErrStalled = errors.New("machine: progress watchdog")
+
+// stallLimit is the progress watchdog's bound: the most cycles run lets
+// pass without a retirement. Once an instruction is the oldest unretired
+// one, everything older is done, so it retires after at most a redirect
+// (RedirectPenalty), a spawn delay (SpawnLatency), one I-cache fill, the
+// front end (FrontEndDepth) and its own execution, and the worst memory
+// latency bounds both the fill and the execution. A violation squash can
+// make it refetch once more; the sum is multiplied by a generous 16 and
+// 1024 cycles are added on top.
+func stallLimit(cfg Config, h *cachesim.Hierarchy) int64 {
+	mem := max(2+h.L1D.WorstLatency(), h.L1I.WorstLatency(), syscallLatency)
+	return 16*int64(mem+cfg.RedirectPenalty+cfg.FrontEndDepth+cfg.SpawnLatency) + 1024
+}
+
+var stateNames = [...]string{"none", "fetched", "diverted", "in-scheduler", "issued", "retired"}
+
+// stalled builds the watchdog's error: where the machine wedged, and the
+// state of every structure that could be holding the oldest instruction
+// back.
+func (s *sim) stalled() error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "no retirement for %d cycles (limit %d) at cycle %d, retireIdx=%d/%d",
+		s.cycle-s.lastRetire, s.stallLimit, s.cycle, s.retireIdx, len(s.tr))
+	for _, t := range s.tasks {
+		fmt.Fprintf(&b, "; task %d start=%d fetch=%d dispatch=%d end=%d", t.id, t.start, t.fetchIdx, t.dispIdx, t.end)
+	}
+	if i := s.retireIdx; i < s.hi {
+		sl := s.at(i)
+		fmt.Fprintf(&b, "; ROB head %d: %s fetch=%d dispatch=%d issue=%d done=%d pending=%d readyAt=%d",
+			i, stateNames[sl.state], sl.fetchC, sl.dispC, sl.issueC, sl.doneC, sl.pendCnt, sl.readyAt)
+	} else {
+		fmt.Fprintf(&b, "; ROB head %d: not fetched", i)
+	}
+	head := func(name string, q []int32) {
+		if len(q) == 0 {
+			fmt.Fprintf(&b, "; %s empty", name)
+		} else {
+			fmt.Fprintf(&b, "; %s head %d (of %d)", name, q[0], len(q))
+		}
+	}
+	if s.polled {
+		head("scheduler", s.sched)
+	} else {
+		head("wheel bucket", s.wheel[int(s.cycle)&s.wheelMask])
+		head("readyQ", s.readyQ)
+	}
+	if len(s.dq) == 0 {
+		b.WriteString("; divert queue empty")
+	} else {
+		fmt.Fprintf(&b, "; divert queue head %d (of %d)", s.dq[0].idx, len(s.dq))
+	}
+	return fmt.Errorf("%w: %s", ErrStalled, b.String())
 }
 
 // newTask returns a zeroed task, recycling a previously freed one (and its
@@ -544,10 +621,11 @@ func (s *sim) retire() {
 		s.robUsed--
 		head := s.tasks[0]
 		head.inflight--
-		if s.src != nil {
-			s.src.OnRetire(&s.tr[i])
+		if s.trainer != nil {
+			s.trainer.OnRetire(&s.tr[i])
 		}
 		s.retireIdx++
+		s.lastRetire = s.cycle
 		if head.end != -1 && s.retireIdx >= head.end {
 			// The task retired without being squashed: its spawn point
 			// earned its keep.
@@ -562,13 +640,21 @@ func (s *sim) retire() {
 				s.taskEnded(head, true)
 				s.emit(telemetry.EvTaskRetire, head.id, int64(head.start), int64(head.end))
 			}
-			s.tasks = s.tasks[1:]
+			// Shift rather than reslice, so the slice keeps its capacity
+			// and spawning never reallocates it.
+			copy(s.tasks, s.tasks[1:])
+			s.tasks = s.tasks[:len(s.tasks)-1]
 			s.freeTask(head)
 		}
 	}
 }
 
 // ---------------------------------------------------------------- issue
+
+// syscallLatency is a kernel crossing: the OS work itself happened at
+// emulation time; the timing model charges a fixed long-latency service
+// cost.
+const syscallLatency = 24
 
 func (s *sim) latency(e *trace.Entry) int32 {
 	switch {
@@ -582,9 +668,7 @@ func (s *sim) latency(e *trace.Entry) int32 {
 	case e.Op == isa.OpDIV || e.Op == isa.OpREM:
 		return 12
 	case e.Op == isa.OpSYSCALL:
-		// Kernel crossing: the OS work itself happened at emulation time;
-		// the timing model charges a fixed long-latency service cost.
-		return 24
+		return syscallLatency
 	}
 	return 1
 }
@@ -807,32 +891,36 @@ func (s *sim) taskEligible(t *task) bool {
 func (s *sim) fetch() {
 	// Biased ICount: the head (least speculative) task always gets a slot
 	// when it can fetch; remaining slots go to the eligible tasks with the
-	// fewest in-flight instructions.
+	// fewest in-flight instructions (ties to the older task). Each task's
+	// eligibility is evaluated at most once per cycle, and the younger
+	// tasks' only when a slot is left after the head: taskEligible has side
+	// effects (it resolves a pending redirect).
 	chosen := s.chosen[:0]
 	if len(s.tasks) > 0 && s.taskEligible(s.tasks[0]) {
 		chosen = append(chosen, s.tasks[0])
 	}
-	for len(chosen) < s.cfg.FetchTasksPerCycle {
-		var best *task
-		for _, t := range s.tasks[min(1, len(s.tasks)):] {
-			already := false
-			for _, c := range chosen {
-				if c == t {
-					already = true
-					break
+	want := s.cfg.FetchTasksPerCycle
+	if len(chosen) < want && len(s.tasks) > 1 {
+		first := len(chosen)
+		for _, t := range s.tasks[1:] {
+			if s.taskEligible(t) {
+				chosen = append(chosen, t)
+			}
+		}
+		// Selection by fewest in-flight: move each pick to the front of
+		// the unpicked tail, keeping the rest in task order.
+		for pos := first; pos < want && pos < len(chosen); pos++ {
+			b := pos
+			for k := pos + 1; k < len(chosen); k++ {
+				if chosen[k].inflight < chosen[b].inflight {
+					b = k
 				}
 			}
-			if already || !s.taskEligible(t) {
-				continue
-			}
-			if best == nil || t.inflight < best.inflight {
-				best = t
-			}
+			best := chosen[b]
+			copy(chosen[pos+1:b+1], chosen[pos:b])
+			chosen[pos] = best
 		}
-		if best == nil {
-			break
-		}
-		chosen = append(chosen, best)
+		chosen = chosen[:min(want, len(chosen))]
 	}
 	s.chosen = chosen
 	if len(chosen) == 0 {
@@ -1260,15 +1348,15 @@ func (s *sim) resetRange(lo, hi int) {
 	}
 }
 
-// purgeFrom eagerly drops scheduler-queue, divert-queue and pending
+// purgeFrom eagerly drops polled-scheduler, divert-queue and pending
 // violation entries at trace index >= lo: a refetched instruction re-enters
 // those structures, and a stale duplicate entry would otherwise alias it.
-// (Wake and watch lists were already unlinked entry by entry in resetRange.)
+// (Wake and watch lists were already unlinked entry by entry in resetRange;
+// the event scheduler's wheel and ready queue validate their entries
+// lazily, see sched.go.)
 func (s *sim) purgeFrom(lo int) {
 	if s.polled {
 		s.purgeSchedPolled(lo)
-	} else {
-		s.purgeQueues(lo)
 	}
 	keptD := s.dq[:0]
 	for _, en := range s.dq {

@@ -1,8 +1,8 @@
 // The original polled scheduler, kept verbatim behind
-// Config.PolledScheduler as the reference model for the event-driven
-// scheduler in sched.go. The differential tests run every workload and
-// policy through both paths and require identical Result and Stats; once
-// the event path has soaked across a few PRs this file can be deleted.
+// Config.PolledScheduler as the permanent reference model for the
+// event-driven scheduler in sched.go. The differential tests run every
+// workload and policy through both paths and require identical Result and
+// Stats, so every change to the fast path stays checked against it.
 package machine
 
 import "sort"

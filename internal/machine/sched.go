@@ -8,20 +8,36 @@
 // slots (arena.go).
 // When a producer issues, it walks its wake list once; a waiter whose last
 // outstanding producer just completed knows its exact ready cycle
-// (max of dispatch+1 and every producer's completion) and is pushed onto a
-// time-ordered heap. Each cycle, due entries move to a ready queue ordered
-// by trace index — the oldest-first issue priority the polled scan got from
-// keeping the scheduler slice sorted — and up to NumFUs of them issue.
+// (max of dispatch+1 and every producer's completion) and is dropped into
+// that cycle's bucket of a timing wheel. Each cycle, the current bucket's
+// entries move to a ready queue ordered by trace index — the oldest-first
+// issue priority the polled scan got from keeping the scheduler slice
+// sorted — and up to NumFUs of them issue.
 // An instruction is therefore examined O(1) times per residence instead of
 // once per cycle.
 //
+// The wheel has a power-of-two number of buckets, more than the longest
+// issue-to-ready distance the latency model can produce (wheelSize), and
+// every wakeup is for a future cycle, so bucket cycle&mask holds exactly
+// the wakeups due this cycle: no entry ever waits a full revolution.
+//
 // Squash safety: wake-list edges of squashed instructions are eagerly
 // unlinked in resetRange (lists would otherwise cross-link when a
-// refetched instruction re-registers), while heap entries are validated
-// lazily — a popped entry issues only if the instruction still satisfies
-// exactly the polled model's ready() condition, so a stale entry can never
-// issue early and a live instruction always has a fresh entry pending.
+// refetched instruction re-registers), while wheel and ready-queue entries
+// are validated lazily — an entry issues only if its instruction is still
+// unretired and satisfies exactly the polled model's ready() condition at
+// that moment. A stale entry therefore issues nothing early, and a
+// duplicate of a live, ready instruction changes nothing: that
+// instruction's own wakeup already fell due (its ready cycle has passed)
+// and put it in the ready queue, where duplicates pop together and only
+// the first issues.
 package machine
+
+import (
+	"fmt"
+
+	"repro/internal/cachesim"
+)
 
 // Wake-list edges are packed as idx<<2 | slot, where slot 0..1 are the
 // register-producer slots and slot 2 is the memWait producer.
@@ -122,23 +138,29 @@ func (s *sim) removeWakeEdge(p int, edge int32) {
 }
 
 // eventReady mirrors the polled model's ready() test exactly; every issue
-// decision flows through it, so stale heap entries can only delay a check,
-// never produce a wrong one.
+// decision flows through it, so stale wheel and ready-queue entries can
+// only delay a check, never produce a wrong one. An index below retireIdx
+// is stale whatever its (possibly recycled) slot says.
 func (s *sim) eventReady(i int) bool {
+	if i < s.retireIdx {
+		return false
+	}
 	sl := s.at(i)
 	return sl.state == stInSched && sl.pendCnt == 0 &&
 		int64(sl.readyAt) <= s.cycle && int64(sl.dispC) < s.cycle
 }
 
-// issueEvent is the event-driven issue stage: due wakeups move to the
-// ready queue, then the NumFUs oldest ready instructions issue.
+// issueEvent is the event-driven issue stage: the current wheel bucket
+// moves to the ready queue, then the NumFUs oldest ready instructions
+// issue.
 func (s *sim) issueEvent() {
-	for len(s.timeQ) > 0 && s.timeQ[0]>>32 <= s.cycle {
-		i := int(int32(s.popTime()))
-		if s.eventReady(i) {
-			s.pushReady(int32(i))
+	b := &s.wheel[int(s.cycle)&s.wheelMask]
+	for _, i := range *b {
+		if s.eventReady(int(i)) {
+			s.pushReady(i)
 		}
 	}
+	*b = (*b)[:0]
 	issued := 0
 	for issued < s.cfg.NumFUs && len(s.readyQ) > 0 {
 		i := int(s.readyQ[0])
@@ -151,34 +173,35 @@ func (s *sim) issueEvent() {
 	}
 }
 
-// ---------------------------------------------------------------- heaps
+// --------------------------------------------------------------- queues
 
-// timeQ is a min-heap of at<<32|idx: wakeups ordered by ready cycle.
-// readyQ is a min-heap of trace indices: ready instructions, oldest first.
-
-func (s *sim) pushTime(at int32, idx int32) {
-	q := append(s.timeQ, int64(at)<<32|int64(uint32(idx)))
-	for c := len(q) - 1; c > 0; {
-		p := (c - 1) / 2
-		if q[p] <= q[c] {
-			break
-		}
-		q[p], q[c] = q[c], q[p]
-		c = p
+// wheelSize derives the timing wheel's bucket count from the machine: the
+// smallest power of two above the longest issue-to-ready distance, which
+// is the latency of a load that misses every cache level of the hierarchy
+// in use (2 + the L1D and L2 miss latencies) or of a syscall
+// (syscallLatency), whichever is larger.
+func wheelSize(h *cachesim.Hierarchy) int {
+	d := max(2+h.L1D.WorstLatency(), syscallLatency)
+	n := 1
+	for n <= d {
+		n <<= 1
 	}
-	s.timeQ = q
+	return n
 }
 
-func (s *sim) popTime() int64 {
-	q := s.timeQ
-	top := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q = q[:last]
-	siftDownInt64(q, 0)
-	s.timeQ = q
-	return top
+// pushTime schedules instruction idx's wakeup for cycle at, which must lie
+// after the current cycle and within the wheel's horizon; anything else
+// would be a latency the horizon does not cover, a bug.
+func (s *sim) pushTime(at int32, idx int32) {
+	if d := int64(at) - s.cycle; d <= 0 || d >= int64(len(s.wheel)) {
+		panic(fmt.Sprintf("machine: wakeup of %d at cycle %d is outside the %d-cycle wheel at cycle %d",
+			idx, at, len(s.wheel), s.cycle))
+	}
+	b := &s.wheel[int(at)&s.wheelMask]
+	*b = append(*b, idx)
 }
+
+// readyQ is a min-heap of trace indices: ready instructions, oldest first.
 
 func (s *sim) pushReady(idx int32) {
 	q := append(s.readyQ, idx)
@@ -198,69 +221,21 @@ func (s *sim) popReady() {
 	last := len(q) - 1
 	q[0] = q[last]
 	q = q[:last]
-	siftDownInt32(q, 0)
+	for i, n := 0, len(q); ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r] < q[c] {
+			c = r
+		}
+		if q[i] <= q[c] {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
 	s.readyQ = q
-}
-
-func siftDownInt64(q []int64, i int) {
-	n := len(q)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if r := c + 1; r < n && q[r] < q[c] {
-			c = r
-		}
-		if q[i] <= q[c] {
-			return
-		}
-		q[i], q[c] = q[c], q[i]
-		i = c
-	}
-}
-
-func siftDownInt32(q []int32, i int) {
-	n := len(q)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if r := c + 1; r < n && q[r] < q[c] {
-			c = r
-		}
-		if q[i] <= q[c] {
-			return
-		}
-		q[i], q[c] = q[c], q[i]
-		i = c
-	}
-}
-
-// purgeQueues drops scheduler-queue entries at trace index >= lo after a
-// squash (the event-mode counterpart of filtering the polled sched slice).
-func (s *sim) purgeQueues(lo int) {
-	tq := s.timeQ[:0]
-	for _, e := range s.timeQ {
-		if int(int32(e)) < lo {
-			tq = append(tq, e)
-		}
-	}
-	s.timeQ = tq
-	for i := len(tq)/2 - 1; i >= 0; i-- {
-		siftDownInt64(tq, i)
-	}
-	rq := s.readyQ[:0]
-	for _, e := range s.readyQ {
-		if int(e) < lo {
-			rq = append(rq, e)
-		}
-	}
-	s.readyQ = rq
-	for i := len(rq)/2 - 1; i >= 0; i-- {
-		siftDownInt32(rq, i)
-	}
 }
 
 // ---------------------------------------------------------- watch lists

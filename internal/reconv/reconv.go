@@ -79,11 +79,14 @@ type entry struct {
 	depth        int // call depth at monitor open: only same-frame PCs count
 }
 
-// Predictor learns reconvergence points from the retirement stream.
+// Predictor learns reconvergence points from the retirement stream. Its
+// per-branch entries live in a slice indexed by an open-addressed PC
+// index, so the per-retire path touches no Go map.
 type Predictor struct {
 	cfg     Config
-	entries map[uint64]*entry
-	active  []*entry // entries with an open monitor
+	ids     trace.PCIndex
+	entries []entry // by PC id
+	active  []int32 // ids of entries with an open monitor
 	retired uint64
 	depth   int // call depth observed in the retirement stream
 }
@@ -93,7 +96,15 @@ func New(cfg Config) *Predictor {
 	if cfg.Window <= 0 {
 		cfg.Window = 512
 	}
-	return &Predictor{cfg: cfg, entries: map[uint64]*entry{}}
+	return &Predictor{cfg: cfg}
+}
+
+// entryOf returns the entry of the branch at pc, or nil when untracked.
+func (p *Predictor) entryOf(pc uint64) *entry {
+	if id := p.ids.Lookup(pc); id >= 0 {
+		return &p.entries[id]
+	}
+	return nil
 }
 
 // Observe consumes one retired instruction. Call it in retirement order.
@@ -103,7 +114,8 @@ func (p *Predictor) Observe(e *trace.Entry) {
 	// Feed open monitors.
 	if len(p.active) > 0 {
 		kept := p.active[:0]
-		for _, en := range p.active {
+		for _, id := range p.active {
+			en := &p.entries[id]
 			if !en.active {
 				continue
 			}
@@ -140,38 +152,41 @@ func (p *Predictor) Observe(e *trace.Entry) {
 				}
 			}
 			if !closed {
-				kept = append(kept, en)
+				kept = append(kept, id)
 			}
 		}
 		p.active = kept
 	}
 
-	// Track call depth: the call itself retires in the caller's frame, the
-	// return in the callee's, so depth changes take effect afterwards.
-	defer func() {
-		switch {
-		case e.IsCall():
-			p.depth++
-		case e.IsReturn():
-			if p.depth > 0 {
-				p.depth--
-			}
-		}
-	}()
-
 	// Conditional branches and jump-table indirect jumps get monitors;
 	// calls and returns reconverge trivially at the return address.
-	if !e.IsCondBranch() && !(e.IsIndirect() && !e.IsReturn() && !e.IsCall()) {
-		return
+	if e.IsCondBranch() || (e.IsIndirect() && !e.IsReturn() && !e.IsCall()) {
+		p.monitor(e.PC)
 	}
-	en := p.entries[e.PC]
-	if en == nil {
+
+	// Track call depth: the call itself retires in the caller's frame, the
+	// return in the callee's, so depth changes take effect afterwards.
+	switch {
+	case e.IsCall():
+		p.depth++
+	case e.IsReturn():
+		if p.depth > 0 {
+			p.depth--
+		}
+	}
+}
+
+// monitor opens a monitor for this instance of the branch at pc.
+func (p *Predictor) monitor(pc uint64) {
+	id := p.ids.Lookup(pc)
+	if id < 0 {
 		if p.cfg.MaxEntries > 0 && len(p.entries) >= p.cfg.MaxEntries {
 			return
 		}
-		en = &entry{}
-		p.entries[e.PC] = en
+		id = p.ids.ID(pc)
+		p.entries = append(p.entries, entry{})
 	}
+	en := &p.entries[id]
 	if en.active {
 		if p.depth != en.depth {
 			// A different (deeper) recursive instance of a monitored
@@ -182,21 +197,20 @@ func (p *Predictor) Observe(e *trace.Entry) {
 		// the previous monitor first.
 		p.close(en, CatNone)
 		for i, a := range p.active {
-			if a == en {
+			if a == id {
 				p.active = append(p.active[:i], p.active[i+1:]...)
 				break
 			}
 		}
 	}
-	// Open a monitor for this instance.
 	en.active = true
 	en.sawBelow = false
 	en.sawCandidate = false
 	en.aboveCand = 0
-	en.branchPC = e.PC
+	en.branchPC = pc
 	en.depth = p.depth
 	en.expiresAt = p.retired + uint64(p.cfg.Window)
-	p.active = append(p.active, en)
+	p.active = append(p.active, id)
 }
 
 // close reconciles a finished monitor into the entry's candidate.
@@ -246,7 +260,7 @@ func (p *Predictor) close(en *entry, forced Category) {
 // ok is false below the confidence threshold or for return-category
 // branches.
 func (p *Predictor) Predict(pc uint64) (uint64, bool) {
-	en := p.entries[pc]
+	en := p.entryOf(pc)
 	if en == nil || en.category == CatNone || en.category == CatReturn {
 		return 0, false
 	}
@@ -258,7 +272,7 @@ func (p *Predictor) Predict(pc uint64) (uint64, bool) {
 
 // CategoryOf exposes the learned category for analysis/tests.
 func (p *Predictor) CategoryOf(pc uint64) Category {
-	if en := p.entries[pc]; en != nil {
+	if en := p.entryOf(pc); en != nil {
 		return en.category
 	}
 	return CatNone

@@ -160,9 +160,9 @@ buf:    .space 16
 	msg := err.Error()
 	for _, want := range []string{
 		"store of 8 bytes",
-		"0x900000",      // effective address
-		"main",          // faulting PC's symbol
-		"data [",        // segment map
+		"0x900000", // effective address
+		"main",     // faulting PC's symbol
+		"data [",   // segment map
 		"heap [0x400000",
 		"stack [",
 	} {

@@ -69,7 +69,28 @@ type Trace struct {
 	Entries []Entry
 
 	occOnce sync.Once
-	occ     map[uint64][]int32
+	occ     occIndex
+}
+
+// occIndex is the per-PC occurrence index, held without Go maps: ids
+// numbers the distinct PCs, and the ascending occurrence list of the PC
+// with id k is backing[off[k]:off[k+1]]. backing holds one int32 per trace
+// entry.
+type occIndex struct {
+	ids     PCIndex
+	off     []int32
+	backing []int32
+}
+
+// list returns pc's occurrence list (cap == len), nil when pc never
+// retires.
+func (o *occIndex) list(pc uint64) []int32 {
+	id := o.ids.Lookup(pc)
+	if id < 0 {
+		return nil
+	}
+	lo, hi := o.off[id], o.off[id+1]
+	return o.backing[lo:hi:hi]
 }
 
 // Len returns the number of retired instructions.
@@ -78,55 +99,49 @@ func (t *Trace) Len() int { return len(t.Entries) }
 // buildIndex constructs the per-PC occurrence index lazily (goroutine-safe:
 // experiment sweeps simulate one trace concurrently). A counting pass
 // numbers the distinct PCs and sizes their lists, then a fill pass writes
-// every list into one exact-size backing array, so each list has
-// cap == len and the index holds one int32 per entry plus one map entry
-// per PC.
+// every list into one exact-size backing array.
 func (t *Trace) buildIndex() {
 	t.occOnce.Do(func() {
-		ids := make(map[uint64]int32, 1024)
+		var o occIndex
 		var next []int32 // per PC id: its count, then its next free position
 		for i := range t.Entries {
-			pc := t.Entries[i].PC
-			id, ok := ids[pc]
-			if !ok {
-				id = int32(len(next))
-				ids[pc] = id
+			id := o.ids.ID(t.Entries[i].PC)
+			if int(id) == len(next) {
 				next = append(next, 0)
 			}
 			next[id]++
 		}
-		off := int32(0)
+		o.off = make([]int32, len(next)+1)
 		for id, c := range next {
-			next[id] = off
-			off += c
+			o.off[id+1] = o.off[id] + c
 		}
-		backing := make([]int32, len(t.Entries))
+		copy(next, o.off)
+		o.backing = make([]int32, len(t.Entries))
 		for i := range t.Entries {
-			id := ids[t.Entries[i].PC]
-			backing[next[id]] = int32(i)
+			id := o.ids.Lookup(t.Entries[i].PC)
+			o.backing[next[id]] = int32(i)
 			next[id]++
 		}
-		t.occ = make(map[uint64][]int32, len(ids))
-		for pc, id := range ids {
-			start := int32(0)
-			if id > 0 {
-				start = next[id-1]
-			}
-			t.occ[pc] = backing[start:next[id]:next[id]]
-		}
+		t.occ = o
 	})
 }
 
 // RestoreIndex installs a precomputed per-PC occurrence index, as decoded
 // from a trace-store artifact (internal/tracestore), so a replayed trace
-// skips the O(n) rebuild. The caller must pass exactly the index that
-// buildIndex would derive from Entries: per-PC ascending occurrence lists.
-// It reports whether the index was installed; false means one was already
-// built (or restored) and the argument was discarded.
-func (t *Trace) RestoreIndex(occ map[uint64][]int32) bool {
+// skips the O(n) rebuild. The index comes in flat form: pcs lists the
+// distinct PCs, and the ascending occurrence list of pcs[k] is
+// backing[off[k]:off[k+1]]. The caller must pass exactly the lists
+// buildIndex would derive from Entries. It reports whether the index was
+// installed; false means one was already built (or restored) and the
+// arguments were discarded.
+func (t *Trace) RestoreIndex(pcs []uint64, off, backing []int32) bool {
 	installed := false
 	t.occOnce.Do(func() {
-		t.occ = occ
+		ids := NewPCIndex(len(pcs))
+		for _, pc := range pcs {
+			ids.ID(pc)
+		}
+		t.occ = occIndex{ids: ids, off: off, backing: backing}
 		installed = true
 	})
 	return installed
@@ -137,18 +152,26 @@ func (t *Trace) RestoreIndex(occ map[uint64][]int32) bool {
 // Spawn Unit uses to place a spawned task on the correct path.
 func (t *Trace) NextOccurrence(pc uint64, after int) int {
 	t.buildIndex()
-	occ := t.occ[pc]
-	i := sort.Search(len(occ), func(i int) bool { return int(occ[i]) > after })
-	if i == len(occ) {
+	occ := t.occ.list(pc)
+	lo, hi := 0, len(occ)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(occ[mid]) > after {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == len(occ) {
 		return -1
 	}
-	return int(occ[i])
+	return int(occ[lo])
 }
 
 // Occurrences returns every trace index at which pc retires.
 func (t *Trace) Occurrences(pc uint64) []int32 {
 	t.buildIndex()
-	return t.occ[pc]
+	return t.occ.list(pc)
 }
 
 // IndirectTargets collects the observed dynamic targets of every indirect

@@ -247,3 +247,43 @@ func TestOccurrenceIndexExact(t *testing.T) {
 		t.Errorf("occurrence lists hold %d indices, trace has %d entries", total, tr.Len())
 	}
 }
+
+// TestPCIndex: ids are dense in first-sight order across growth, PC 0
+// included, lookups of absent PCs (and on the zero value) miss, and
+// NewPCIndex(n) holds n PCs without growing.
+func TestPCIndex(t *testing.T) {
+	var zero PCIndex
+	if zero.Lookup(0) != -1 || zero.Lookup(0x400000) != -1 {
+		t.Fatal("zero-value index finds a PC")
+	}
+	var ix PCIndex
+	const n = 5000
+	pc := func(k int) uint64 { return uint64(k) * 4 } // k = 0 gives PC 0
+	for k := 0; k < n; k++ {
+		if id := ix.ID(pc(k)); id != int32(k) {
+			t.Fatalf("ID(%#x) = %d, want %d", pc(k), id, k)
+		}
+		if id := ix.ID(pc(k / 2)); id != int32(k/2) {
+			t.Fatalf("repeat ID(%#x) = %d, want %d", pc(k/2), id, k/2)
+		}
+	}
+	for k := 0; k < n; k++ {
+		if id := ix.Lookup(pc(k)); id != int32(k) {
+			t.Fatalf("Lookup(%#x) = %d, want %d", pc(k), id, k)
+		}
+		if id := ix.Lookup(pc(k) + 1); id != -1 {
+			t.Fatalf("Lookup of absent %#x = %d", pc(k)+1, id)
+		}
+	}
+	if ix.Len() != n || len(ix.PCs()) != n || ix.PCs()[7] != pc(7) {
+		t.Fatalf("Len %d, PCs %d entries", ix.Len(), len(ix.PCs()))
+	}
+	sized := NewPCIndex(n)
+	keys := len(sized.keys)
+	for k := 0; k < n; k++ {
+		sized.ID(pc(k))
+	}
+	if len(sized.keys) != keys {
+		t.Errorf("NewPCIndex(%d) grew from %d to %d slots", n, keys, len(sized.keys))
+	}
+}

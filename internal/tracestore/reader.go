@@ -211,7 +211,7 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 				entries = nil // an empty trace round-trips as nil, like the emulator produces
 			}
 			t := &trace.Trace{Entries: entries}
-			t.RestoreIndex(occ.occ)
+			t.RestoreIndex(occ.pcs, occ.off, occ.backing)
 			return t, deps, nil
 		default:
 			return nil, nil, corruptf("unknown frame kind %#x", kind)
@@ -461,9 +461,11 @@ func decodeEntries(dst []trace.Entry, p []byte, count int) ([]trace.Entry, error
 // exactly canonical.
 type occDecoder struct {
 	entries []trace.Entry
-	occ     map[uint64][]int32
-	// backing holds every list, one index per entry across the section.
+	// backing holds every list, one index per entry across the section;
+	// the list of pcs[k] is backing[off[k]:off[k+1]], the flat form
+	// trace.RestoreIndex takes.
 	backing []int32
+	off     []int32
 	// owner[i] is 1 + the position in pcs of the list holding index i;
 	// zero means no list has claimed it yet.
 	owner  []int32
@@ -474,8 +476,8 @@ type occDecoder struct {
 func newOccDecoder(entries []trace.Entry) *occDecoder {
 	return &occDecoder{
 		entries: entries,
-		occ:     map[uint64][]int32{},
 		backing: make([]int32, 0, len(entries)),
+		off:     []int32{0},
 		owner:   make([]int32, len(entries)),
 	}
 }
@@ -505,7 +507,6 @@ func (o *occDecoder) frame(p []byte, count int) error {
 		prevPC, o.lastPC = pc, pc
 		o.pcs = append(o.pcs, pc)
 		owner := int32(len(o.pcs))
-		start := len(o.backing)
 		var ix uint64
 		for k := 0; k < int(cnt); k++ {
 			delta, pos = uvarintAt(p, pos)
@@ -528,9 +529,7 @@ func (o *occDecoder) frame(p []byte, count int) error {
 			o.owner[ix] = owner
 			o.backing = append(o.backing, int32(ix))
 		}
-		// Three-index slice: a later append to the backing array must never
-		// alias into an installed list.
-		o.occ[pc] = o.backing[start:len(o.backing):len(o.backing)]
+		o.off = append(o.off, int32(len(o.backing)))
 	}
 	return trailing("occurrence", p, pos)
 }

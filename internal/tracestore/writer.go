@@ -33,7 +33,7 @@ type Writer struct {
 	// The occurrence index is built without Go maps: pcs gives each PC a
 	// dense id (in first-retirement order), ids records every entry's PC
 	// id, and Finish counting-sorts the entry indices by id.
-	pcs pcTable
+	pcs trace.PCIndex
 	ids []int32
 
 	// meta remembers, per entry, the source count and load bit the deps
@@ -41,50 +41,6 @@ type Writer struct {
 	meta []uint8
 
 	finished bool
-}
-
-// pcTable is an open-addressed (linear probing) hash map from PC to a dense
-// id, the idiom of trace.wordStores. slot holds id+1 so zero marks an
-// empty slot and every PC value, zero included, is a valid key.
-type pcTable struct {
-	keys []uint64
-	slot []int32
-	pcs  []uint64 // dense id -> PC
-}
-
-// id returns pc's dense id, assigning the next one on first sight.
-func (t *pcTable) id(pc uint64) int32 {
-	if len(t.pcs)*4 >= len(t.keys)*3 {
-		t.grow()
-	}
-	mask := uint64(len(t.keys) - 1)
-	for i := (pc * 0x9E3779B97F4A7C15) >> 32 & mask; ; i = (i + 1) & mask {
-		switch {
-		case t.slot[i] == 0:
-			id := int32(len(t.pcs))
-			t.keys[i], t.slot[i] = pc, id+1
-			t.pcs = append(t.pcs, pc)
-			return id
-		case t.keys[i] == pc:
-			return t.slot[i] - 1
-		}
-	}
-}
-
-func (t *pcTable) grow() {
-	n := 2 * len(t.keys)
-	if n == 0 {
-		n = 1024
-	}
-	t.keys, t.slot = make([]uint64, n), make([]int32, n)
-	mask := uint64(n - 1)
-	for id, pc := range t.pcs {
-		i := (pc * 0x9E3779B97F4A7C15) >> 32 & mask
-		for t.slot[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.keys[i], t.slot[i] = pc, int32(id)+1
-	}
 }
 
 // NewWriter starts a trace stream on w, writing the format header.
@@ -144,7 +100,7 @@ func (tw *Writer) Append(e trace.Entry) error {
 	}
 	tw.buf = b
 
-	tw.ids = append(tw.ids, tw.pcs.id(e.PC))
+	tw.ids = append(tw.ids, tw.pcs.ID(e.PC))
 	m := e.NSrc
 	if e.IsLoad() {
 		m |= 1 << 7
@@ -178,11 +134,11 @@ func (tw *Writer) Finish(d *trace.Deps) error {
 	// Occurrence section: ascending PCs, ascending index lists. Counting
 	// sort by PC id into one backing array, lists laid out in ascending PC
 	// order; one pass over the entries fills each list in index order.
-	byPC := make([]int32, len(tw.pcs.pcs))
+	byPC := make([]int32, len(tw.pcs.PCs()))
 	for id := range byPC {
 		byPC[id] = int32(id)
 	}
-	sort.Slice(byPC, func(i, j int) bool { return tw.pcs.pcs[byPC[i]] < tw.pcs.pcs[byPC[j]] })
+	sort.Slice(byPC, func(i, j int) bool { return tw.pcs.PCs()[byPC[i]] < tw.pcs.PCs()[byPC[j]] })
 	count := make([]int32, len(byPC))
 	for _, id := range tw.ids {
 		count[id]++
@@ -201,7 +157,7 @@ func (tw *Writer) Finish(d *trace.Deps) error {
 	framePCs := 0
 	var prevPC uint64
 	for _, id := range byPC {
-		pc := tw.pcs.pcs[id]
+		pc := tw.pcs.PCs()[id]
 		if framePCs == 0 {
 			prevPC = 0 // delta state resets at each frame boundary
 		}
