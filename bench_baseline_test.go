@@ -54,8 +54,9 @@ type benchRecord struct {
 }
 
 // benchHistory keeps existing entries as raw JSON: the file also holds
-// entries written by other tools (cmd/polyload's service records), whose
-// fields must survive a baseline append untouched.
+// entries written by other tools (the historic service records of the
+// since-removed load generator), whose fields must survive a baseline
+// append untouched.
 type benchHistory struct {
 	History []json.RawMessage `json:"history"`
 }

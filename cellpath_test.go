@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/telemetry"
 	"repro/internal/tune"
 )
 
@@ -95,7 +97,9 @@ func servedDaemon(t *testing.T) (*server.Client, map[string][]byte) {
 // TestCellPathIdentity runs the same cells through every entry point that
 // produces a sim artifact — harness grids with a cache and against a
 // daemon, and the local and remote tuning evaluators — and requires one
-// artifact per cell: byte-identical bytes under one cache key.
+// artifact per cell: byte-identical bytes under one cache key. An
+// uncached harness grid stores no artifact, so it is held to the cached
+// grid's results and to the attribution reports its artifacts embed.
 func TestCellPathIdentity(t *testing.T) {
 	gzip, _, err := speculate.LoadCached("gzip", nil)
 	if err != nil {
@@ -123,18 +127,21 @@ func TestCellPathIdentity(t *testing.T) {
 	}
 	// The harness grids: Figure 9's postdoms column under the mask (plus
 	// its superscalar baseline) and Figure 12's rec_pred column.
-	grids := func(o harness.Options) {
+	grids := func(o harness.Options) []*harness.SpeedupTable {
 		t.Helper()
 		o9 := o
 		o9.Benches, o9.Policies, o9.SpawnMask = []string{"gzip"}, []string{"postdoms"}, mask
-		if _, err := harness.Figure9Opts(o9); err != nil {
+		t9, err := harness.Figure9Opts(o9)
+		if err != nil {
 			t.Fatal(err)
 		}
 		o12 := o
 		o12.Benches, o12.Policies = []string{"quicksort"}, []string{"rec_pred"}
-		if _, err := harness.Figure12Opts(o12); err != nil {
+		t12, err := harness.Figure12Opts(o12)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return []*harness.SpeedupTable{t9, t12}
 	}
 	ctx := context.Background()
 	paths := map[string]map[string][]byte{}
@@ -144,8 +151,38 @@ func TestCellPathIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grids(harness.Options{Cache: harnessCache})
+	cachedTables := grids(harness.Options{Cache: harnessCache})
 	paths["harness cache"] = storedArtifacts(t, harnessDir)
+
+	attribDir := t.TempDir()
+	uncachedTables := grids(harness.Options{AttribDir: attribDir})
+	for i, ut := range uncachedTables {
+		ct := cachedTables[i]
+		if !reflect.DeepEqual(ut.Base, ct.Base) || !reflect.DeepEqual(ut.Results, ct.Results) {
+			t.Errorf("%s: uncached grid results differ from the cached grid's", ct.Title)
+		}
+	}
+	// The uncached grid writes attribution for its PolyFlow cells only.
+	for file, id := range map[string]string{
+		"gzip_postdoms.attrib.json":      "gzip/postdoms",
+		"quicksort_rec_pred.attrib.json": "quicksort/rec_pred",
+	} {
+		got, err := os.ReadFile(filepath.Join(attribDir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := artifact.DecodeSim(paths["harness cache"][id])
+		if err != nil {
+			t.Fatalf("harness cache: %s: %v", id, err)
+		}
+		var want bytes.Buffer
+		if err := art.Attrib.WriteJSON(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("uncached grid's %s differs from the report embedded in the cached %s artifact", file, id)
+		}
+	}
 
 	client, served := servedDaemon(t)
 	grids(harness.Options{Remote: client})
@@ -235,7 +272,7 @@ func TestRunCellConcurrentColdCallers(t *testing.T) {
 	}
 	results := make(chan outcome, 2)
 	call := func() {
-		data, hit, err := speculate.RunCell(ctx, b, cache, "postdoms", nil, 1000, onSample)
+		data, hit, err := speculate.RunCell(ctx, b, cache, "postdoms", nil, 1000, onSample, nil)
 		results <- outcome{data, hit, err}
 	}
 	go call()
@@ -265,5 +302,44 @@ func TestRunCellConcurrentColdCallers(t *testing.T) {
 	}
 	if spans["simulate"] != 1 || spans["artifact_encode"] != 1 || spans["cache_lookup"] != 2 {
 		t.Errorf("spans %v, want one simulate, one artifact_encode and two cache_lookup", spans)
+	}
+}
+
+// TestRunCellWithCollector pins RunCell's collector rule: a cell with a
+// telemetry collector is simulated live — the collector records the run's
+// events — and returns the collector-less cell's artifact bytes, while the
+// cache is neither read nor written even when the key is already stored.
+func TestRunCellWithCollector(t *testing.T) {
+	b, _, err := speculate.LoadCached("quicksort", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := artifact.New(artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want, hit, err := speculate.RunCell(ctx, b, cache, "postdoms", nil, 0, nil, nil)
+	if err != nil || hit {
+		t.Fatalf("cold cell: hit=%v err=%v", hit, err)
+	}
+	before := cache.Stats()
+
+	col := telemetry.NewCollector(telemetry.Config{TraceEvents: telemetry.DefaultTraceEvents})
+	got, hit, err := speculate.RunCell(ctx, b, cache, "postdoms", nil, 0, nil, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit {
+		t.Error("a cell with a collector reported a cache hit")
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("the collector changed the cell's artifact bytes")
+	}
+	if len(col.Tracer.Events()) == 0 {
+		t.Error("the collector recorded no events")
+	}
+	if after := cache.Stats(); after != before {
+		t.Errorf("a cell with a collector touched the cache: stats %+v, were %+v", after, before)
 	}
 }

@@ -143,7 +143,7 @@ func BenchmarkGridCluster(b *testing.B) {
 						wg.Add(1)
 						go func(bench, policy string) {
 							defer wg.Done()
-							data, _, err := coord.RunCell(ctx, server.Request{Bench: bench, Policy: policy})
+							data, _, err := coord.Runner()(ctx, server.Request{Bench: bench, Policy: policy}, nil)
 							if err != nil {
 								b.Errorf("cell %s/%s: %v", bench, policy, err)
 								return

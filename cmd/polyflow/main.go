@@ -30,7 +30,7 @@ import (
 	"runtime/pprof"
 
 	"repro"
-	"repro/internal/attrib"
+	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/telemetry"
@@ -39,7 +39,6 @@ import (
 func main() {
 	benchName := flag.String("bench", "twolf", "workload name")
 	policyName := flag.String("policy", "postdoms", "spawn policy: superscalar, rec_pred, or one of the static policies")
-	tasks := flag.Int("tasks", 8, "maximum concurrent tasks")
 	verbose := flag.Bool("v", false, "print spawn-point statistics")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON timeline of the run to this file")
 	metrics := flag.Bool("metrics", false, "print the telemetry metrics summary after the run")
@@ -79,7 +78,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if err := run(ctx, *benchName, *policyName, *tasks, *verbose, *traceFile, *metrics, *attribFile, *traceOut, *traceIn, *maskStr); err != nil {
+	if err := run(ctx, *benchName, *policyName, *verbose, *traceFile, *metrics, *attribFile, *traceOut, *traceIn, *maskStr); err != nil {
 		fmt.Fprintln(os.Stderr, "polyflow:", err)
 		os.Exit(1)
 	}
@@ -99,7 +98,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, benchName, policyName string, tasks int, verbose bool, traceFile string, metrics bool, attribFile, traceOut, traceIn, maskStr string) error {
+func run(ctx context.Context, benchName, policyName string, verbose bool, traceFile string, metrics bool, attribFile, traceOut, traceIn, maskStr string) error {
 	mask, err := machine.ParseSpawnMask(maskStr)
 	if err != nil {
 		return err
@@ -139,9 +138,10 @@ func run(ctx context.Context, benchName, policyName string, tasks int, verbose b
 		}
 	}
 
-	// One Collector (and one attribution table) observes one run, so both
-	// are attached to whichever run the -policy flag selects (for
-	// "superscalar", the baseline itself).
+	// One Collector observes one run, so it is attached to whichever run
+	// the -policy flag selects (for "superscalar", the baseline itself).
+	// Every cell runs through speculate.RunCell, which attaches and
+	// verifies attribution; -attrib writes the artifact's report.
 	var col *telemetry.Collector
 	if traceFile != "" || metrics {
 		n := 0 // metrics only
@@ -150,43 +150,30 @@ func run(ctx context.Context, benchName, policyName string, tasks int, verbose b
 		}
 		col = telemetry.NewCollector(telemetry.Config{TraceEvents: n})
 	}
-	var tbl *attrib.Table
-	if attribFile != "" {
-		tbl = attrib.NewTable()
-	}
 
-	if policyName == "superscalar" {
-		cfg := machine.SuperscalarConfig()
-		cfg.Telemetry = col
-		cfg.Attribution = tbl
-		base, err := b.RunNamedContext(ctx, "superscalar", cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(" ", base)
-		return finish(col, tbl, b.Name, policyName, base, traceFile, metrics, attribFile)
+	baseCol := col
+	if policyName != "superscalar" {
+		baseCol = nil
 	}
-
-	base, err := b.RunNamedContext(ctx, "superscalar", machine.SuperscalarConfig())
+	base, err := runCell(ctx, b, "superscalar", nil, baseCol)
 	if err != nil {
 		return err
 	}
-	fmt.Println(" ", base)
+	fmt.Println(" ", base.Result)
+	if policyName == "superscalar" {
+		return finish(col, base, traceFile, metrics, attribFile)
+	}
 
-	cfg := machine.PolyFlowConfig()
-	cfg.MaxTasks = tasks
-	cfg.Telemetry = col
-	cfg.Attribution = tbl
-	cfg.SpawnMask = mask
 	if mask.Len() > 0 {
 		fmt.Printf("  suppressing %d spawn sites: %s\n", mask.Len(), mask.Encode())
 	}
-	res, err := b.RunNamedContext(ctx, policyName, cfg)
+	art, err := runCell(ctx, b, policyName, mask, col)
 	if err != nil {
 		return err
 	}
+	res := art.Result
 	fmt.Println(" ", res)
-	fmt.Printf("  speedup over superscalar: %+.1f%%\n", speculate.SpeedupPct(base, res))
+	fmt.Printf("  speedup over superscalar: %+.1f%%\n", speculate.SpeedupPct(base.Result, res))
 	if verbose {
 		fmt.Printf("  spawns by kind:")
 		for k := core.Kind(0); k < core.NumKinds; k++ {
@@ -199,18 +186,27 @@ func run(ctx context.Context, benchName, policyName string, tasks int, verbose b
 		fmt.Printf("  mispredicts=%d icacheMiss=%d dcacheMiss=%d l2Miss=%d icacheStall=%d\n",
 			res.Mispredicts, res.ICacheMisses, res.DCacheMisses, res.L2Misses, res.ICacheStallCycle)
 	}
-	return finish(col, tbl, b.Name, policyName, res, traceFile, metrics, attribFile)
+	return finish(col, art, traceFile, metrics, attribFile)
+}
+
+// runCell simulates one uncached cell and decodes its artifact.
+func runCell(ctx context.Context, b *speculate.Bench, policy string, mask *machine.SpawnMask, col *telemetry.Collector) (*artifact.SimArtifact, error) {
+	data, _, err := speculate.RunCell(ctx, b, nil, policy, mask, 0, nil, col)
+	if err != nil {
+		return nil, err
+	}
+	return artifact.DecodeSim(data)
 }
 
 // finish writes the trace and attribution files and/or prints the metrics
 // summary.
-func finish(col *telemetry.Collector, tbl *attrib.Table, bench, policy string, res machine.Result, traceFile string, metrics bool, attribFile string) error {
+func finish(col *telemetry.Collector, art *artifact.SimArtifact, traceFile string, metrics bool, attribFile string) error {
 	if col != nil && traceFile != "" {
 		f, err := os.Create(traceFile)
 		if err != nil {
 			return err
 		}
-		if err := col.WriteChromeTrace(f, res.Config); err != nil {
+		if err := col.WriteChromeTrace(f, art.Result.Config); err != nil {
 			f.Close()
 			return err
 		}
@@ -225,12 +221,8 @@ func finish(col *telemetry.Collector, tbl *attrib.Table, bench, policy string, r
 			return err
 		}
 	}
-	if tbl != nil {
-		if err := machine.VerifyAttribution(tbl, res); err != nil {
-			return err
-		}
-		rep := attrib.NewReport(tbl, bench, policy, res.Config, res.Cycles, res.Retired)
-		if err := rep.WriteFile(attribFile); err != nil {
+	if attribFile != "" {
+		if err := art.Attrib.WriteFile(attribFile); err != nil {
 			return err
 		}
 		fmt.Printf("  attribution written to %s (render with: polystat report %s)\n", attribFile, attribFile)

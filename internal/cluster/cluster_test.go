@@ -210,7 +210,7 @@ func TestClusterWorkerFailureMidGrid(t *testing.T) {
 		wg.Add(1)
 		go func(i int, pol string) {
 			defer wg.Done()
-			data[i], _, errs[i] = coord.RunCell(ctx, server.Request{Bench: bench, Policy: pol})
+			data[i], _, errs[i] = coord.Runner()(ctx, server.Request{Bench: bench, Policy: pol}, nil)
 		}(i, pol)
 	}
 	time.Sleep(75 * time.Millisecond) // let cells land on the victim
@@ -304,7 +304,7 @@ func TestClusterWindowBound(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = coord.RunCell(context.Background(), server.Request{Bench: "gzip", Policy: "postdoms"})
+			_, _, errs[i] = coord.Runner()(context.Background(), server.Request{Bench: "gzip", Policy: "postdoms"}, nil)
 		}(i)
 	}
 	wg.Wait()

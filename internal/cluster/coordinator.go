@@ -277,30 +277,19 @@ func (c *Coordinator) Runner() server.Runner {
 		// The caller's trace and progress hook ride in the cell: execute
 		// runs on the dispatch pool under a different context.
 		cell := &Cell{Req: req, Progress: progress, Trace: obs.From(ctx)}
-		return c.runCell(ctx, cell)
-	}
-}
-
-// RunCell executes one (bench, policy) cell on the cluster and returns
-// the artifact bytes, exactly as a single polyflowd would serve them.
-func (c *Coordinator) RunCell(ctx context.Context, req server.Request) ([]byte, bool, error) {
-	return c.runCell(ctx, &Cell{Req: req, Trace: obs.From(ctx)})
-}
-
-func (c *Coordinator) runCell(ctx context.Context, cell *Cell) ([]byte, bool, error) {
-	req := cell.Req
-	job := jobqueue.Job{ID: "cell/" + req.Bench + "/" + req.Policy, Priority: req.Priority, Payload: cell}
-	h, err := c.pool.SubmitWait(ctx, job)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := h.Wait(ctx); err != nil {
-		if ctx.Err() != nil {
-			h.Cancel()
+		job := jobqueue.Job{ID: "cell/" + req.Bench + "/" + req.Policy, Priority: req.Priority, Payload: cell}
+		h, err := c.pool.SubmitWait(ctx, job)
+		if err != nil {
+			return nil, false, err
 		}
-		return nil, false, err
+		if err := h.Wait(ctx); err != nil {
+			if ctx.Err() != nil {
+				h.Cancel()
+			}
+			return nil, false, err
+		}
+		return cell.Data, cell.CacheHit, nil
 	}
-	return cell.Data, cell.CacheHit, nil
 }
 
 // ringKeyFor maps a bench to its trace-artifact key hash — the same

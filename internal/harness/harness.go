@@ -46,10 +46,10 @@ type Options struct {
 	// <bench>_<policy>.metrics.txt into the directory, creating it if
 	// needed. Tracing needs a live run, so it bypasses the artifact cache.
 	TraceDir string
-	// AttribDir, when non-empty, attaches a per-spawn-site attribution
-	// table to every simulated cell, verifies its totals against the
-	// machine counters, and writes <bench>_<policy>.attrib.json into the
-	// directory (the polystat report/diff input), creating it if needed.
+	// AttribDir, when non-empty, writes each PolyFlow cell's per-spawn-site
+	// attribution report — the verified one every sim artifact embeds — as
+	// <bench>_<policy>.attrib.json into the directory (the polystat
+	// report/diff input), creating it if needed.
 	AttribDir string
 	// Context cancels the grid: cells abort promptly when it expires.
 	// Nil means context.Background().
@@ -130,56 +130,32 @@ func (o Options) collector() *telemetry.Collector {
 	return telemetry.NewCollector(telemetry.Config{TraceEvents: telemetry.DefaultTraceEvents})
 }
 
-// attribTable returns a fresh per-cell attribution table, or nil when
-// attribution is off.
-func (o Options) attribTable() *attrib.Table {
-	if o.AttribDir == "" {
-		return nil
+// writeTrace writes one cell's trace and metrics files under o.TraceDir.
+func (o Options) writeTrace(bench, policy string, col *telemetry.Collector, res machine.Result) error {
+	if err := os.MkdirAll(o.TraceDir, 0o755); err != nil {
+		return err
 	}
-	return attrib.NewTable()
-}
-
-// exportCell writes one cell's trace and metrics files under o.TraceDir
-// and its attribution report under o.AttribDir.
-func (o Options) exportCell(bench, policy string, col *telemetry.Collector, tbl *attrib.Table, res machine.Result) error {
-	if col != nil {
-		if err := os.MkdirAll(o.TraceDir, 0o755); err != nil {
-			return err
-		}
-		stem := filepath.Join(o.TraceDir, fileToken(bench)+"_"+fileToken(policy))
-		tf, err := os.Create(stem + ".trace.json")
-		if err != nil {
-			return err
-		}
-		werr := col.WriteChromeTrace(tf, res.Config)
-		if cerr := tf.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		mf, err := os.Create(stem + ".metrics.txt")
-		if err != nil {
-			return err
-		}
-		werr = col.WriteSummary(mf)
-		if cerr := mf.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
+	stem := filepath.Join(o.TraceDir, fileToken(bench)+"_"+fileToken(policy))
+	tf, err := os.Create(stem + ".trace.json")
+	if err != nil {
+		return err
 	}
-	if tbl != nil {
-		if err := machine.VerifyAttribution(tbl, res); err != nil {
-			return err
-		}
-		rep := attrib.NewReport(tbl, bench, policy, res.Config, res.Cycles, res.Retired)
-		if err := o.writeAttrib(bench, policy, rep); err != nil {
-			return err
-		}
+	werr := col.WriteChromeTrace(tf, res.Config)
+	if cerr := tf.Close(); werr == nil {
+		werr = cerr
 	}
-	return nil
+	if werr != nil {
+		return werr
+	}
+	mf, err := os.Create(stem + ".metrics.txt")
+	if err != nil {
+		return err
+	}
+	werr = col.WriteSummary(mf)
+	if cerr := mf.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
 }
 
 // writeAttrib writes one cell's attribution report under o.AttribDir.
@@ -207,18 +183,18 @@ func (o Options) pool(depth int) (*jobqueue.Pool, bool) {
 }
 
 // runCell runs one (bench, column) cell. Remote grids run it as a
-// polyflowd job (Client.Run) and cached local grids through
-// speculate.RunCell, the one cached-cell path polyflowd and the tuner
-// share; both decode the same sim artifact, so local and remote grids are
-// byte-identical. Uncached grids, and cells that export traces (tracing
-// needs a live run), simulate live with o's observers attached.
+// polyflowd job (Client.Run) and local grids through speculate.RunCell,
+// the one cell path polyflowd, polyflow and the tuner share (o.Cache may
+// be nil; a cell with a trace collector is simulated live). Both decode
+// the same sim artifact, so local and remote, cached and uncached grids
+// are byte-identical.
 func (o Options) runCell(ctx context.Context, b *speculate.Bench, colName string) (machine.Result, error) {
 	var (
 		data []byte
+		col  *telemetry.Collector
 		err  error
 	)
-	switch {
-	case o.Remote != nil:
+	if o.Remote != nil {
 		if o.TraceDir != "" {
 			return machine.Result{}, errors.New("harness: -trace-dir needs a live local run, not a remote grid")
 		}
@@ -232,10 +208,9 @@ func (o Options) runCell(ctx context.Context, b *speculate.Bench, colName string
 			o.Logger.Debug("remote cell finished", "component", "harness",
 				"bench", b.Name, "policy", colName, "job_id", st.ID, "trace_id", st.TraceID, "state", st.State)
 		}
-	case o.Cache != nil && o.TraceDir == "":
-		data, _, err = speculate.RunCell(ctx, b, o.Cache, colName, o.SpawnMask, 0, nil)
-	default:
-		return o.runCellLive(ctx, b, colName)
+	} else {
+		col = o.collector()
+		data, _, err = speculate.RunCell(ctx, b, o.Cache, colName, o.SpawnMask, 0, nil, col)
 	}
 	if err != nil {
 		return machine.Result{}, err
@@ -243,6 +218,11 @@ func (o Options) runCell(ctx context.Context, b *speculate.Bench, colName string
 	art, err := artifact.DecodeSim(data)
 	if err != nil {
 		return machine.Result{}, fmt.Errorf("decoding %s/%s: %w", b.Name, colName, err)
+	}
+	if col != nil {
+		if err := o.writeTrace(b.Name, colName, col, art.Result); err != nil {
+			return machine.Result{}, err
+		}
 	}
 	if o.AttribDir != "" {
 		if art.Attrib == nil {
@@ -253,23 +233,6 @@ func (o Options) runCell(ctx context.Context, b *speculate.Bench, colName string
 		}
 	}
 	return art.Result, nil
-}
-
-// runCellLive simulates one cell with o's observers attached and exports
-// its files. RunNamedContext builds the superscalar baseline's own
-// config, so the PolyFlow config here serves every column.
-func (o Options) runCellLive(ctx context.Context, b *speculate.Bench, colName string) (machine.Result, error) {
-	cfg := machine.PolyFlowConfig()
-	cfg.SpawnMask = o.SpawnMask
-	col := o.collector()
-	cfg.Telemetry = col
-	tbl := o.attribTable()
-	cfg.Attribution = tbl
-	res, err := b.RunNamedContext(ctx, colName, cfg)
-	if err != nil {
-		return res, err
-	}
-	return res, o.exportCell(b.Name, colName, col, tbl, res)
 }
 
 // fileToken makes a bench/policy name safe as a filename component

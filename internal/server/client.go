@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/artifact"
 	"repro/internal/attrib"
 	"repro/internal/obs"
 )
@@ -21,8 +20,9 @@ import (
 // fail at the transport layer (connection refused, reset), answer 429
 // (queue backpressure) or answer 5xx are reissued with exponential backoff
 // and jitter; other 4xx answers are never retried. The zero value disables
-// retries (exactly one attempt), preserving the historical behavior for
-// callers — like cmd/polyload — that implement their own 429 handling.
+// retries (exactly one attempt), for callers that implement their own
+// 429 handling — Client.Run — or want one probe, not a retry loop — the
+// coordinator's heartbeats.
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget; <= 1 means no retries.
 	MaxAttempts int
@@ -72,8 +72,9 @@ func (p RetryPolicy) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// Client is a thin Go client for the polyflowd API; cmd/polyload, the CI
-// smoke job and the cluster coordinator drive daemons through it.
+// Client is a thin Go client for the polyflowd API; remote harness grids,
+// the remote tuner, perfbench and the cluster coordinator drive daemons
+// through it.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8080".
 	Base string
@@ -256,15 +257,6 @@ func (c *Client) Run(ctx context.Context, req Request) ([]byte, Status, error) {
 	return data, fin, nil
 }
 
-// Result fetches and decodes a succeeded job's simulation artifact.
-func (c *Client) Result(ctx context.Context, id string) (*artifact.SimArtifact, error) {
-	var raw []byte
-	if _, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, &raw); err != nil {
-		return nil, err
-	}
-	return artifact.DecodeSim(raw)
-}
-
 // ResultBytes fetches a succeeded job's raw artifact bytes.
 func (c *Client) ResultBytes(ctx context.Context, id string) ([]byte, error) {
 	var raw []byte
@@ -279,14 +271,6 @@ func (c *Client) Attrib(ctx context.Context, id string) (*attrib.Report, error) 
 		return nil, err
 	}
 	return attrib.ReadReport(bytes.NewReader(raw))
-}
-
-// AttribBytes fetches the raw report JSON (what the CI smoke job hands to
-// polystat diff).
-func (c *Client) AttribBytes(ctx context.Context, id string) ([]byte, error) {
-	var raw []byte
-	_, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/attrib", nil, &raw)
-	return raw, err
 }
 
 // Trace fetches a workload's serialized polyflow-trace/1 artifact —

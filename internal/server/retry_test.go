@@ -97,7 +97,8 @@ func TestRetryExhaustionReturnsLastError(t *testing.T) {
 
 func TestRetryZeroPolicyMeansOneAttempt(t *testing.T) {
 	// The zero value must preserve the historical single-attempt behavior:
-	// cmd/polyload's own 429 loop depends on seeing the first 429.
+	// Client.Run's own 429 loop depends on seeing the first 429, and the
+	// coordinator's heartbeat probes make one attempt each.
 	h := &flakyHandler{codes: []int{http.StatusTooManyRequests}}
 	srv := httptest.NewServer(h)
 	defer srv.Close()

@@ -388,7 +388,7 @@ func (s *Server) simulate(ctx context.Context, req Request, progress ProgressFun
 	if err != nil {
 		return nil, false, err
 	}
-	return speculate.RunCell(ctx, b, s.cache, req.Policy, mask, req.SampleInterval, progress)
+	return speculate.RunCell(ctx, b, s.cache, req.Policy, mask, req.SampleInterval, progress, nil)
 }
 
 // validate rejects malformed requests before they consume a queue slot.

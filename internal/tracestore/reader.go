@@ -12,21 +12,14 @@ import (
 	"repro/internal/trace"
 )
 
-// Reader decodes a polyflow-trace/1 stream. A Reader built with NewReader
-// consumes its io.Reader once; one built with Open reads the ReaderAt from
-// the start on every Load, so the same Reader can Load any number of times
-// without holding the serialized bytes in memory.
+// Reader decodes a polyflow-trace/1 stream. A Reader built with Open reads
+// the ReaderAt from the start on every Load, so the same Reader can Load
+// any number of times without holding the serialized bytes in memory.
 type Reader struct {
-	r    io.Reader
 	ra   io.ReaderAt
 	data []byte
 	size int64
-	used bool
 }
-
-// NewReader wraps a sequential stream. The stream is consumed by the first
-// Load.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
 // Open wraps a random-access source of the given size (a file, an mmap, a
 // bytes.Reader over a cached artifact); every Load decodes from the start.
@@ -52,9 +45,6 @@ func (r *Reader) entryCount() int {
 	if r.data != nil {
 		ra = bytes.NewReader(r.data)
 	}
-	if ra == nil {
-		return 0
-	}
 	var hdr [1 + 2*binary.MaxVarintLen64]byte
 	n := 0
 	for off := int64(len(magic) + 1); off < r.size; {
@@ -76,18 +66,11 @@ func (r *Reader) entryCount() int {
 	return n
 }
 
-func (r *Reader) parser() (*parser, error) {
+func (r *Reader) parser() *parser {
 	if r.data != nil {
-		return &parser{data: r.data}, nil
+		return &parser{data: r.data}
 	}
-	if r.ra != nil {
-		return &parser{br: bufio.NewReaderSize(io.NewSectionReader(r.ra, 0, r.size), 64<<10)}, nil
-	}
-	if r.used {
-		return nil, fmt.Errorf("tracestore: sequential Reader already consumed (use Open for repeatable access)")
-	}
-	r.used = true
-	return &parser{br: bufio.NewReaderSize(r.r, 64<<10)}, nil
+	return &parser{br: bufio.NewReaderSize(io.NewSectionReader(r.ra, 0, r.size), 64<<10)}
 }
 
 // Load decodes the whole stream: entries, the occurrence index (installed
@@ -97,10 +80,7 @@ func (r *Reader) parser() (*parser, error) {
 // pipeline would have produced; any inconsistency, truncation, or checksum
 // failure returns an error wrapping ErrCorrupt.
 func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
-	p, err := r.parser()
-	if err != nil {
-		return nil, nil, err
-	}
+	p := r.parser()
 	if err := p.header(); err != nil {
 		return nil, nil, err
 	}
@@ -112,8 +92,7 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 	)
 	stage := stEntries
 	// The entry slice is by far the largest allocation; sizing it from the
-	// entry frames' headers avoids both regrowth and slack. Unknown size
-	// (NewReader) degrades to plain append growth.
+	// entry frames' headers avoids both regrowth and slack.
 	entries := make([]trace.Entry, 0, r.entryCount())
 	var occ *occDecoder
 	var deps *trace.Deps

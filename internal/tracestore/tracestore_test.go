@@ -111,21 +111,6 @@ func TestRoundtripWorkloads(t *testing.T) {
 	}
 }
 
-func TestSequentialReaderSingleUse(t *testing.T) {
-	tr, d := synthTrace()
-	data, err := Encode(tr, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(bytes.NewReader(data))
-	if _, _, err := r.Load(); err != nil {
-		t.Fatalf("first Load: %v", err)
-	}
-	if _, _, err := r.Load(); err == nil {
-		t.Fatal("second Load on a sequential reader should fail")
-	}
-}
-
 func TestTruncationAndCorruption(t *testing.T) {
 	tr, d := realTrace(t, "mcf", 4000)
 	data, err := Encode(tr, d)

@@ -56,7 +56,7 @@ type LocalEvaluator struct {
 
 // Evaluate runs one candidate.
 func (e *LocalEvaluator) Evaluate(ctx context.Context, mask *machine.SpawnMask) (Outcome, error) {
-	data, hit, err := speculate.RunCell(ctx, e.Bench, e.Cache, e.Policy, mask, 0, nil)
+	data, hit, err := speculate.RunCell(ctx, e.Bench, e.Cache, e.Policy, mask, 0, nil, nil)
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -89,15 +89,6 @@ func (w Workload) SHA() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// FamilyName returns the workload's family, mapping the zero value to
-// FamilySynthetic.
-func (w Workload) FamilyName() string {
-	if w.Family == "" {
-		return FamilySynthetic
-	}
-	return w.Family
-}
-
 // NewOS returns a fresh syscall handler for one run of the workload: a
 // sysos instance over the workload's stdin for the kernels family, nil
 // for synthetic workloads (which make no syscalls). Handlers are

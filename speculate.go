@@ -33,6 +33,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/reconv"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -64,21 +65,6 @@ func Assemble(src string) (*isa.Program, error) { return asm.Assemble(src) }
 // profile-driven analysis).
 func Prepare(name string, prog *isa.Program, maxInstrs int) (*Bench, error) {
 	return prepare(name, prog, maxInstrs, nil, nil, nil)
-}
-
-// PrepareWorkload prepares a registered workload under its family
-// runtime: kernels assemble through the object-image loader and emulate
-// over a fresh sysos instance with segment checking; the synthetic family
-// takes the bare path. Both land in the same Bench shape, which is why
-// every downstream run path is family-agnostic.
-func PrepareWorkload(w workloads.Workload) (*Bench, error) {
-	prog := w.Assemble()
-	b, err := prepare(w.Name, prog, w.MaxInstrs, w.NewOS(), w.NewOS(), w.Segments(prog))
-	if err != nil {
-		return nil, err
-	}
-	b.SourceSHA = w.SHA()
-	return b, nil
 }
 
 // prepare emulates, architecturally re-checks, and analyzes one program.
@@ -215,8 +201,9 @@ func (b *Bench) RunNamedContext(ctx context.Context, name string, cfg machine.Co
 
 // RunCell runs one grid cell — bench b under the named policy — and
 // returns its encoded SimArtifact. It is the one path by which polyflowd,
-// the figure harness and the local tuner simulate a cell, so a cell has
-// one cache identity and one artifact whichever of them asks:
+// the figure harness, cmd/polyflow and the local tuner simulate a cell,
+// so a cell has one cache identity and one artifact whichever of them
+// asks:
 //
 //   - the base config is the canonical one: SuperscalarConfig for
 //     "superscalar", PolyFlowConfig otherwise;
@@ -226,6 +213,12 @@ func (b *Bench) RunNamedContext(ctx context.Context, name string, cfg machine.Co
 //   - attribution is always attached and verified, so every artifact
 //     carries its report.
 //
+// col, when non-nil, observes the run's telemetry. A cache hit would
+// replay no events, so a cell with a collector is always simulated live:
+// the cache is neither read nor written, and hit is false. Its artifact is
+// byte-identical to the collector-less cell's (telemetry is an observer,
+// not part of the key).
+//
 // With a cache and a cacheable bench (a registered workload) the artifact
 // is memoized by content address; otherwise the cell is simulated and
 // hit is false. Concurrent calls for one cold key run one simulation, and
@@ -234,7 +227,7 @@ func (b *Bench) RunNamedContext(ctx context.Context, name string, cfg machine.Co
 // and artifact_encode spans go to the trace in ctx, if any; a caller
 // deduplicated onto another's simulation records only its cache_lookup.
 func RunCell(ctx context.Context, b *Bench, cache *artifact.Cache, policy string, mask *machine.SpawnMask,
-	sampleInterval int64, onSample func(cycle, retired int64)) (data []byte, hit bool, err error) {
+	sampleInterval int64, onSample func(cycle, retired int64), col *telemetry.Collector) (data []byte, hit bool, err error) {
 
 	baseCfg := machine.PolyFlowConfig()
 	if policy == "superscalar" {
@@ -250,6 +243,7 @@ func RunCell(ctx context.Context, b *Bench, cache *artifact.Cache, policy string
 	compute := func(ctx context.Context) ([]byte, error) {
 		cfg := baseCfg
 		cfg.OnSample = onSample
+		cfg.Telemetry = col
 		tbl := attrib.NewTable()
 		cfg.Attribution = tbl
 		endSim := obs.StartSpan(ctx, "simulate")
@@ -268,7 +262,7 @@ func RunCell(ctx context.Context, b *Bench, cache *artifact.Cache, policy string
 		endEnc.End()
 		return data, err
 	}
-	if cache == nil || keyErr != nil {
+	if cache == nil || keyErr != nil || col != nil {
 		data, err = compute(ctx)
 		return data, false, err
 	}
