@@ -1,14 +1,14 @@
 // Benchmark for distributed grid execution (the polyflowd cluster): the
 // coordinator fans the Figure-9 grid out to N workers and merges the
-// artifact bytes. This host has a single CPU, so worker compute cannot
-// actually scale here; instead each worker is a real polyflowd whose
-// Runner answers after a modeled 25ms remote-simulation latency with real,
-// precomputed artifact bytes. What the benchmark measures is therefore the
-// coordinator's dispatch pipeline — ring placement, bounded windows,
-// submit/poll/result over HTTP — and how cell throughput scales when
-// workers are added. Byte-identity of genuinely simulated cells across
-// single-node and cluster runs is proven separately by
-// internal/cluster's TestClusterGridByteIdentity.
+// artifact bytes. Every worker shares the benchmark's host, so worker
+// compute cannot actually scale here; instead each worker is a real
+// polyflowd whose Runner answers after a modeled 100ms remote-simulation
+// latency with real, precomputed artifact bytes. What the benchmark
+// measures is therefore the coordinator's dispatch pipeline — ring
+// placement, bounded windows, submit/poll/result over HTTP — and how cell
+// throughput scales when workers are added. Byte-identity of genuinely
+// simulated cells across single-node and cluster runs is proven separately
+// by internal/cluster's TestClusterGridByteIdentity.
 package speculate_test
 
 import (
@@ -125,7 +125,7 @@ func BenchmarkGridCluster(b *testing.B) {
 
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			coord := cluster.New(cluster.Options{Window: 2, PollInterval: clusterCellLatency / 4})
+			coord := cluster.New(cluster.Options{Window: 2})
 			defer coord.Close()
 			for i := 0; i < workers; i++ {
 				if err := coord.AddWorker(startStubWorker(b, ref)); err != nil {

@@ -96,7 +96,7 @@ func drive(src string, run, simulate bool) (err error) {
 		return err
 	}
 	if run {
-		m := emu.New(prog, 0)
+		m := emu.New(prog)
 		for !m.Halted && m.Count < 50_000_000 {
 			if err := m.Step(nil); err != nil {
 				return err

@@ -86,7 +86,7 @@ func main() {
 	var workerList string
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address (host:port; :0 picks a free port)")
 	flag.StringVar(&o.cacheDir, "cache-dir", "", "on-disk artifact cache root (empty = memory-only cache)")
-	flag.IntVar(&o.workers, "workers", 0, "simulation workers (0 = GOMAXPROCS; coordinator mode defaults to 32 dispatchers)")
+	flag.IntVar(&o.workers, "workers", 0, "simulation workers (0 = GOMAXPROCS); in coordinator mode, cells dispatched to the cluster at once (0 = 32)")
 	flag.IntVar(&o.queueDepth, "queue-depth", 64, "queued-job bound; submissions beyond it answer 429")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long a shutdown signal waits for running jobs before canceling them")
 	flag.StringVar(&o.logLevel, "log-level", "info", "structured log level: debug, info, warn, error")
@@ -155,7 +155,9 @@ func run(o options) error {
 				return err
 			}
 		}
-		// Dispatch blocks pool workers on HTTP I/O, not CPU: oversubscribe.
+		// The pool is the only queue a cluster cell waits in, and each of
+		// its workers carries one cell's dispatch, blocked on HTTP I/O, not
+		// CPU: oversubscribe. -cluster-window bounds each worker's share.
 		if poolWorkers == 0 {
 			poolWorkers = 32
 		}

@@ -17,7 +17,7 @@ func runMain(t *testing.T, src string) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := emu.New(p, 0)
+	m := emu.New(p)
 	for !m.Halted && m.Count < 5_000_000 {
 		if err := m.Step(nil); err != nil {
 			t.Fatal(err)

@@ -159,7 +159,7 @@ func TestQuickFoldEquivalence(t *testing.T) {
 }
 
 func execMain(p *isa.Program) (int64, error) {
-	m := emu.New(p, 0)
+	m := emu.New(p)
 	for !m.Halted && m.Count < 1_000_000 {
 		if err := m.Step(nil); err != nil {
 			return 0, err

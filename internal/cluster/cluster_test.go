@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -321,6 +323,68 @@ func TestClusterWindowBound(t *testing.T) {
 	}
 	if got := fw.submits.Load(); got != cells {
 		t.Errorf("worker served %d submissions, want %d", got, cells)
+	}
+}
+
+// TestClusterCancelsAbandonedCell: a cell whose context ends while it runs
+// cancels its worker job, so the worker stops simulating an orphan and the
+// freed window slot matches an idle worker.
+func TestClusterCancelsAbandonedCell(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The worker's job ends only when its context does, or when cleanup
+	// releases it so that a failing run cannot hang the drain.
+	release := make(chan struct{})
+	blocking := func(jctx context.Context, req server.Request, progress server.ProgressFunc) ([]byte, bool, error) {
+		select {
+		case <-jctx.Done():
+			return nil, false, jctx.Err()
+		case <-release:
+			return nil, false, errors.New("released by cleanup")
+		}
+	}
+	srv, err := server.New(server.Config{Runner: blocking})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+			cancel() // the coordinator polls only once its Submit succeeded; give up then
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		close(release)
+		hs.Close()
+		srv.Close()
+	})
+	worker := &server.Client{Base: hs.URL}
+
+	coord := cluster.New(cluster.Options{})
+	defer coord.Close()
+	if err := coord.AddWorker(hs.URL); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := coord.Runner()(ctx, server.Request{Bench: "gzip", Policy: "postdoms"}, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Runner = %v, want context.Canceled", err)
+	}
+	jobs, err := worker.List(context.Background())
+	if err != nil || len(jobs) != 1 {
+		t.Fatalf("worker jobs = %+v, %v; want one", jobs, err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st, err := worker.Status(context.Background(), jobs[0].ID)
+		if err == nil && st.State == "canceled" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("worker job %s still %q after the cell was abandoned (err %v)", jobs[0].ID, st.State, err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if ws := coord.Workers(); ws[0].InFlight != 0 {
+		t.Errorf("window slots in use after the cell ended: %d", ws[0].InFlight)
 	}
 }
 

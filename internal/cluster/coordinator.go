@@ -6,13 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/artifact"
-	"repro/internal/jobqueue"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/telemetry"
@@ -25,29 +23,12 @@ type Options struct {
 	// running plus one queued keeps a worker busy back to back without
 	// piling a grid onto whoever answers first).
 	Window int
-	// Replicas is the virtual-node count per worker on the hash ring;
-	// <= 0 selects 64.
-	Replicas int
 	// HeartbeatInterval is the liveness probe period; <= 0 selects 1s.
 	HeartbeatInterval time.Duration
 	// HeartbeatFailures marks a worker down after this many consecutive
 	// failed probes; <= 0 selects 3. A down worker stops receiving cells
 	// until a probe succeeds again.
 	HeartbeatFailures int
-	// DispatchWorkers bounds concurrently executing cells across the
-	// fleet; <= 0 selects 32. Dispatch is I/O-bound (the cells run on
-	// remote CPUs), so this deliberately oversubscribes GOMAXPROCS.
-	DispatchWorkers int
-	// QueueDepth bounds the dispatch queue; <= 0 selects 256.
-	QueueDepth int
-	// Retry is the per-call HTTP retry policy for worker requests; the
-	// zero value selects server.DefaultRetry().
-	Retry server.RetryPolicy
-	// PollInterval is the job-status poll period against workers; <= 0
-	// selects 5ms.
-	PollInterval time.Duration
-	// HTTP overrides the transport used for worker calls (tests).
-	HTTP *http.Client
 	// Logger receives structured dispatch and membership records; nil
 	// disables logging.
 	Logger *slog.Logger
@@ -57,10 +38,10 @@ type Options struct {
 // collects their artifact bytes. Plug Runner() into server.Config.Runner
 // to serve the ordinary job API (including SSE state streams) on top of
 // cluster execution, and FillMetrics into Config.MetricsExtra to expose
-// the cluster.* counters on /metrics.
+// the cluster.* counters on /metrics. The server's pool is the only queue
+// a cell waits in; the per-worker windows bound what reaches each worker.
 type Coordinator struct {
 	opts  Options
-	pool  *jobqueue.Pool // dispatch pool, remote executor
 	hists *telemetry.HistSet
 
 	mu      sync.Mutex
@@ -134,37 +115,9 @@ func (m *member) release() { <-m.sem }
 // It is advisory — the actual bound is enforced by acquire.
 func (m *member) freeSlot() bool { return len(m.sem) < cap(m.sem) }
 
-// Cell is one grid cell shipped through the remote executor: the request
-// going in, the artifact bytes coming out.
-type Cell struct {
-	Req      server.Request
-	Data     []byte
-	CacheHit bool
-	Worker   string // base URL of the worker that completed the cell
-	// Progress, when non-nil, receives the worker's live progress samples:
-	// the coordinator subscribes to the worker job's SSE stream and relays
-	// each sample here, so a coordinator-side SSE watcher sees real worker
-	// progress, not just queued/running/terminal transitions.
-	Progress server.ProgressFunc
-	// Trace, when non-nil, collects the cell's fleet spans: dispatch spans
-	// on the coordinator side plus the worker's own phase spans, imported
-	// after completion under the worker's base URL.
-	Trace *obs.Trace
-}
-
-// remoteExecutor is the jobqueue.Executor that ships cell payloads to
-// cluster workers; jobqueue.LocalExecutor is its in-process counterpart.
-// Jobs without a *Cell payload fall back to local execution, so a shared
-// pool can mix cluster cells with ordinary work.
-type remoteExecutor struct{ c *Coordinator }
-
-func (e remoteExecutor) Execute(ctx context.Context, j jobqueue.Job) error {
-	cell, ok := j.Payload.(*Cell)
-	if !ok {
-		return jobqueue.LocalExecutor{}.Execute(ctx, j)
-	}
-	return e.c.execute(ctx, cell)
-}
+// pollInterval paces the coordinator's job-status polls against workers
+// and its re-picks while every candidate worker's window is full.
+const pollInterval = 5 * time.Millisecond
 
 // New builds and starts a coordinator (its heartbeat loop runs until
 // Close).
@@ -178,41 +131,23 @@ func New(opts Options) *Coordinator {
 	if opts.HeartbeatFailures <= 0 {
 		opts.HeartbeatFailures = 3
 	}
-	if opts.DispatchWorkers <= 0 {
-		opts.DispatchWorkers = 32
-	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 256
-	}
-	if opts.Retry == (server.RetryPolicy{}) {
-		opts.Retry = server.DefaultRetry()
-	}
-	if opts.PollInterval <= 0 {
-		opts.PollInterval = 5 * time.Millisecond
-	}
 	c := &Coordinator{
 		opts:    opts,
 		hists:   telemetry.NewHistSet(),
-		ring:    NewRing(opts.Replicas),
+		ring:    NewRing(0),
 		members: map[string]*member{},
 		keys:    map[string]string{},
 		stop:    make(chan struct{}),
 		hbDone:  make(chan struct{}),
 	}
-	c.pool = jobqueue.New(jobqueue.Config{
-		Workers:    opts.DispatchWorkers,
-		QueueDepth: opts.QueueDepth,
-		Executor:   remoteExecutor{c},
-	})
 	go c.heartbeatLoop()
 	return c
 }
 
-// Close stops the heartbeat loop and drains the dispatch pool.
+// Close stops the heartbeat loop.
 func (c *Coordinator) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	<-c.hbDone
-	c.pool.Close()
 }
 
 // AddWorker registers a worker by base URL (e.g. "http://10.0.0.2:8080").
@@ -232,8 +167,8 @@ func (c *Coordinator) AddWorker(base string) error {
 	}
 	m := &member{
 		id:     base,
-		client: &server.Client{Base: base, HTTP: c.opts.HTTP, Retry: c.opts.Retry},
-		probe:  &server.Client{Base: base, HTTP: c.opts.HTTP},
+		client: &server.Client{Base: base, Retry: server.DefaultRetry()},
+		probe:  &server.Client{Base: base},
 		sem:    make(chan struct{}, c.opts.Window),
 	}
 	m.lastBeat.Store(time.Now().UnixMilli())
@@ -270,27 +205,11 @@ func normalizeBase(base string) string {
 
 // Runner adapts the coordinator to server.Runner: a polyflowd in
 // coordinator mode serves the unchanged submit/status/result/SSE API while
-// every cell executes on the cluster. Cache hits reported by workers
-// propagate into the coordinator's job records.
-func (c *Coordinator) Runner() server.Runner {
-	return func(ctx context.Context, req server.Request, progress server.ProgressFunc) ([]byte, bool, error) {
-		// The caller's trace and progress hook ride in the cell: execute
-		// runs on the dispatch pool under a different context.
-		cell := &Cell{Req: req, Progress: progress, Trace: obs.From(ctx)}
-		job := jobqueue.Job{ID: "cell/" + req.Bench + "/" + req.Policy, Priority: req.Priority, Payload: cell}
-		h, err := c.pool.SubmitWait(ctx, job)
-		if err != nil {
-			return nil, false, err
-		}
-		if err := h.Wait(ctx); err != nil {
-			if ctx.Err() != nil {
-				h.Cancel()
-			}
-			return nil, false, err
-		}
-		return cell.Data, cell.CacheHit, nil
-	}
-}
+// every cell executes on the cluster. Cells run on the server job's own
+// context, so the server pool's priorities, timeouts, cancellation and
+// drain apply to them unchanged. Cache hits reported by workers propagate
+// into the coordinator's job records.
+func (c *Coordinator) Runner() server.Runner { return c.execute }
 
 // ringKeyFor maps a bench to its trace-artifact key hash — the same
 // content address workers store the trace under, so cell placement and
@@ -323,26 +242,26 @@ func (c *Coordinator) ringKeyFor(bench string) (string, error) {
 // preferred ones are saturated), ship the cell, and on worker failure move
 // to the next candidate in the key's ring sequence. Deterministic
 // simulation failures are not retried — they would fail identically
-// everywhere.
-func (c *Coordinator) execute(ctx context.Context, cell *Cell) error {
-	key, err := c.ringKeyFor(cell.Req.Bench)
+// everywhere. progress, when non-nil, receives the worker's live samples;
+// the trace in ctx, when present, collects the cell's fleet spans.
+func (c *Coordinator) execute(ctx context.Context, req server.Request, progress server.ProgressFunc) ([]byte, bool, error) {
+	key, err := c.ringKeyFor(req.Bench)
 	if err != nil {
 		c.m.cellErrors.Add(1)
-		return err
+		return nil, false, err
 	}
 	c.m.dispatched.Add(1)
-	ctx = obs.With(ctx, cell.Trace)
 	placed := time.Now()
 	tried := map[string]bool{}
 	for {
 		m, err := c.pick(key, tried)
 		if err != nil {
 			c.m.cellErrors.Add(1)
-			return err
+			return nil, false, err
 		}
-		ok, err := m.acquireTimeout(ctx, c.opts.PollInterval)
+		ok, err := m.acquireTimeout(ctx, pollInterval)
 		if err != nil {
-			return err
+			return nil, false, err
 		}
 		if !ok {
 			// The pick went stale while we waited; place the cell again.
@@ -353,26 +272,25 @@ func (c *Coordinator) execute(ctx context.Context, cell *Cell) error {
 		m.dispatched.Add(1)
 		endDispatch := obs.StartSpan(ctx, "dispatch")
 		start := time.Now()
-		data, hit, rerr := c.runOn(ctx, m, cell)
+		data, hit, rerr := c.runOn(ctx, m, req, progress)
 		m.release()
 		c.hists.Observe("cluster.worker.dispatch_ms{"+telemetry.PromLabel("worker", m.id)+"}",
 			clusterBounds, time.Since(start).Milliseconds())
 		if rerr == nil {
 			endDispatch.End("worker", m.id)
 			m.completed.Add(1)
-			cell.Data, cell.CacheHit, cell.Worker = data, hit, m.id
 			c.m.completed.Add(1)
-			return nil
+			return data, hit, nil
 		}
 		endDispatch.End("worker", m.id, "error", "true")
 		m.failed.Add(1)
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return nil, false, ctx.Err()
 		}
 		var we *workerError
 		if !errors.As(rerr, &we) || !we.transient {
 			c.m.cellErrors.Add(1)
-			return fmt.Errorf("cluster: cell %s/%s on %s: %w", cell.Req.Bench, cell.Req.Policy, m.id, rerr)
+			return nil, false, fmt.Errorf("cluster: cell %s/%s on %s: %w", req.Bench, req.Policy, m.id, rerr)
 		}
 		// Transient worker failure: count the retry, suspect the worker
 		// (the heartbeat revives it when it answers again), move on.
@@ -382,8 +300,8 @@ func (c *Coordinator) execute(ctx context.Context, cell *Cell) error {
 		m.retries.Add(1)
 		if c.opts.Logger != nil {
 			c.opts.Logger.Warn("cell retried on another worker", "component", "cluster",
-				"bench", cell.Req.Bench, "policy", cell.Req.Policy, "worker", m.id,
-				"trace_id", traceID(cell.Trace), "error", rerr.Error())
+				"bench", req.Bench, "policy", req.Policy, "worker", m.id,
+				"trace_id", obs.IDFrom(ctx), "error", rerr.Error())
 		}
 	}
 }
@@ -391,13 +309,6 @@ func (c *Coordinator) execute(ctx context.Context, cell *Cell) error {
 // clusterBounds are the millisecond edges for dispatch and placement
 // histograms.
 var clusterBounds = []int64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
-
-func traceID(t *obs.Trace) string {
-	if t == nil {
-		return ""
-	}
-	return t.ID()
-}
 
 // pick chooses the worker for key: the first live untried member of the
 // key's ring sequence with an idle window slot; when every live candidate
@@ -440,31 +351,27 @@ type workerError struct {
 func (e *workerError) Error() string { return e.err.Error() }
 func (e *workerError) Unwrap() error { return e.err }
 
-// transientCode classifies an HTTP answer from a worker. Code 0 is a
-// transport failure; 429/5xx are load or server trouble. All of those may
-// succeed elsewhere. 4xx (other than 429) means the request itself is
-// bad and no worker will accept it.
-func transientCode(code int) bool {
-	return code == 0 || code == http.StatusTooManyRequests || code >= 500
-}
-
 // runOn ships one cell to one worker and fetches the artifact bytes. ctx
 // carries the cell's trace, so Submit stamps the X-Polyflow-Trace header
 // and the worker job joins the coordinator's trace. While the job runs, a
 // relay goroutine subscribes to the worker's SSE stream and forwards
-// progress samples to the cell's Progress hook; after success the worker's
-// spans are imported under its base URL.
-func (c *Coordinator) runOn(ctx context.Context, m *member, cell *Cell) ([]byte, bool, error) {
-	st, code, err := m.client.Submit(ctx, cell.Req)
+// progress samples to progress; after success the worker's spans are
+// imported under its base URL. A cell abandoned because ctx ended cancels
+// its worker job before the caller frees the window slot.
+func (c *Coordinator) runOn(ctx context.Context, m *member, req server.Request, progress server.ProgressFunc) ([]byte, bool, error) {
+	st, code, err := m.client.Submit(ctx, req)
 	if err != nil {
-		return nil, false, &workerError{fmt.Errorf("submit: %w", err), transientCode(code)}
+		// The retry policy's rule: a transport failure, 429 or 5xx may
+		// succeed elsewhere; any other 4xx means no worker will accept it.
+		return nil, false, &workerError{fmt.Errorf("submit: %w", err), m.client.Retry.Retryable(code)}
 	}
-	if cell.Progress != nil {
+	defer m.client.CancelAbandoned(ctx, st.ID)
+	if progress != nil {
 		relayCtx, stopRelay := context.WithCancel(ctx)
 		defer stopRelay()
-		go c.relayProgress(relayCtx, m, st.ID, cell.Progress)
+		go c.relayProgress(relayCtx, m, st.ID, progress)
 	}
-	fin, err := m.client.Wait(ctx, st.ID, c.opts.PollInterval)
+	fin, err := m.client.Wait(ctx, st.ID, pollInterval)
 	if err != nil {
 		// Transport loss or a worker restart that forgot the job: both
 		// retryable elsewhere.
@@ -484,11 +391,11 @@ func (c *Coordinator) runOn(ctx context.Context, m *member, cell *Cell) ([]byte,
 	if err != nil {
 		return nil, false, &workerError{fmt.Errorf("result: %w", err), true}
 	}
-	if cell.Trace != nil {
+	if tr := obs.From(ctx); tr != nil {
 		// Best effort: a worker that drained between Wait and here just
 		// leaves the timeline without its side of the story.
 		if ex, err := m.client.Spans(ctx, fin.ID); err == nil {
-			cell.Trace.Import(m.id, ex.Spans)
+			tr.Import(m.id, ex.Spans)
 		}
 	}
 	return data, fin.CacheHit, nil

@@ -24,7 +24,7 @@ func Check(p *isa.Program, tr *trace.Trace) error {
 // of the OS layer is what makes the replay reproduce the recorded stream.
 // A nil os degrades to plain Check.
 func CheckOS(p *isa.Program, tr *trace.Trace, os SyscallHandler) error {
-	m := New(p, 0)
+	m := New(p)
 	m.OS = os
 	// One reused entry: the re-execution allocates nothing per instruction.
 	var got trace.Entry

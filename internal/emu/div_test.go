@@ -39,7 +39,7 @@ func TestDivRemTotal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := New(p, 0)
+			m := New(p)
 			for !m.Halted {
 				if err := m.Step(nil); err != nil {
 					t.Fatal(err)

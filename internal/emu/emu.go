@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -19,16 +18,6 @@ type Config struct {
 	// DefaultMaxInstrs safety cap). The paper runs 100M instructions per
 	// benchmark; the workloads here are sized to finish under the cap.
 	MaxInstrs int
-	// StackTop initializes $sp; 0 selects isa.DefaultStackTop.
-	StackTop uint64
-	// NoTrace disables trace recording (Run then returns a nil trace); the
-	// zero value records.
-	NoTrace bool
-	// Metrics, when non-nil, receives the emu.* functional-execution
-	// counters (docs/OBSERVABILITY.md) once the run finishes. The stepping
-	// loop is untouched: counts are derived from the retired trace, so a
-	// nil registry costs nothing.
-	Metrics *telemetry.Registry
 	// OS handles syscall instructions. Nil makes OpSYSCALL an
 	// architectural fault — the synthetic workloads never execute one.
 	OS SyscallHandler
@@ -72,15 +61,13 @@ type Machine struct {
 }
 
 // New creates a machine with the program image loaded and the ABI state
-// (entry PC, stack pointer, return address) initialized. The return address
-// is set to a halt-trampoline so that a bare `ret` from main halts cleanly.
-func New(p *isa.Program, stackTop uint64) *Machine {
-	if stackTop == 0 {
-		stackTop = isa.DefaultStackTop
-	}
+// (entry PC, stack pointer at isa.DefaultStackTop, return address)
+// initialized. The return address is set to a halt-trampoline so that a
+// bare `ret` from main halts cleanly.
+func New(p *isa.Program) *Machine {
 	m := &Machine{Prog: p, Mem: NewMemory(), PC: p.Entry, static: staticEntries(p)}
 	m.Mem.LoadImage(p.DataBase, p.Data)
-	m.Regs[isa.SP] = int64(stackTop)
+	m.Regs[isa.SP] = int64(isa.DefaultStackTop)
 	m.Regs[isa.GP] = int64(p.DataBase)
 	return m
 }
@@ -328,27 +315,18 @@ func Run(p *isa.Program, cfg Config) (*trace.Trace, error) {
 	if max <= 0 {
 		max = DefaultMaxInstrs
 	}
-	m := New(p, cfg.StackTop)
+	m := New(p)
 	m.OS = cfg.OS
 	m.Segs = cfg.Segments
-	var log *entryLog
+	var log entryLog
 	var e trace.Entry
-	var out *trace.Entry
-	if !cfg.NoTrace {
-		log, out = &entryLog{}, &e
-	}
 	for !m.Halted && m.Count < int64(max) {
-		if err := m.step(out); err != nil {
+		if err := m.step(&e); err != nil {
 			return log.trace(), err
 		}
-		if log != nil {
-			log.add(e)
-		}
+		log.add(e)
 	}
 	tr := log.trace()
-	if cfg.Metrics != nil {
-		publishMetrics(cfg.Metrics, m, tr)
-	}
 	if !m.Halted {
 		return tr, fmt.Errorf("emu: instruction cap %d reached without halt (PC 0x%x)", max, m.PC)
 	}
@@ -376,12 +354,8 @@ func (l *entryLog) add(e trace.Entry) {
 	l.cur = append(l.cur, e)
 }
 
-// trace assembles the recorded entries; a nil log (recording off) yields a
-// nil trace.
+// trace assembles the recorded entries.
 func (l *entryLog) trace() *trace.Trace {
-	if l == nil {
-		return nil
-	}
 	n := len(l.cur)
 	for _, c := range l.full {
 		n += len(c)
@@ -391,46 +365,6 @@ func (l *entryLog) trace() *trace.Trace {
 		entries = append(entries, c...)
 	}
 	return &trace.Trace{Entries: append(entries, l.cur...)}
-}
-
-// publishMetrics counts the retired instruction mix into reg. With trace
-// recording off only the retirement count is available.
-func publishMetrics(reg *telemetry.Registry, m *Machine, tr *trace.Trace) {
-	reg.Gauge("emu.retired").Set(m.Count)
-	if tr == nil {
-		return
-	}
-	var loads, stores, cond, taken, calls, returns, indirect int64
-	for i := range tr.Entries {
-		e := &tr.Entries[i]
-		switch {
-		case e.IsLoad():
-			loads++
-		case e.IsStore():
-			stores++
-		case e.IsCondBranch():
-			cond++
-			if e.Taken() {
-				taken++
-			}
-		}
-		if e.IsCall() {
-			calls++
-		}
-		if e.IsReturn() {
-			returns++
-		}
-		if e.IsIndirect() {
-			indirect++
-		}
-	}
-	reg.Counter("emu.loads").Add(loads)
-	reg.Counter("emu.stores").Add(stores)
-	reg.Counter("emu.cond_branches").Add(cond)
-	reg.Counter("emu.taken_branches").Add(taken)
-	reg.Counter("emu.calls").Add(calls)
-	reg.Counter("emu.returns").Add(returns)
-	reg.Counter("emu.indirect_jumps").Add(indirect)
 }
 
 func b2i(b bool) int64 {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/isa"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -17,7 +16,7 @@ func run(t *testing.T, src string) (*Machine, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(p, 0)
+	m := New(p)
 	for !m.Halted && m.Count < 1_000_000 {
 		if err := m.Step(nil); err != nil {
 			t.Fatal(err)
@@ -458,55 +457,5 @@ loop:   addi $t9, $t9, -1
 	}
 	if err := Check(p, tr); err == nil {
 		t.Fatalf("architectural check accepted a flipped branch")
-	}
-}
-
-func TestRunPublishesMetrics(t *testing.T) {
-	p, err := asm.Assemble(`
-        li   $t0, 3
-        li   $t1, 0
-loop:   sw   $t1, 0($gp)
-        lw   $t2, 0($gp)
-        add  $t1, $t1, $t2
-        addi $t0, $t0, -1
-        bgtz $t0, loop
-        jal  sub
-        halt
-sub:    jr   $ra
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	tr, err := Run(p, Config{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := reg.GaugeValue("emu.retired"); !ok || got != int64(tr.Len()) {
-		t.Fatalf("emu.retired = %d,%v, want %d", got, ok, tr.Len())
-	}
-	want := map[string]int64{
-		"emu.loads":          3,
-		"emu.stores":         3,
-		"emu.cond_branches":  3,
-		"emu.taken_branches": 2,
-		"emu.calls":          1,
-		"emu.returns":        1,
-	}
-	for name, w := range want {
-		if got, ok := reg.CounterValue(name); !ok || got != w {
-			t.Errorf("%s = %d,%v, want %d", name, got, ok, w)
-		}
-	}
-	// With trace recording off, only the retirement gauge is available.
-	reg2 := telemetry.NewRegistry()
-	if _, err := Run(p, Config{Metrics: reg2, NoTrace: true}); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := reg2.GaugeValue("emu.retired"); !ok || got != int64(tr.Len()) {
-		t.Fatalf("NoTrace emu.retired = %d,%v", got, ok)
-	}
-	if _, ok := reg2.CounterValue("emu.loads"); ok {
-		t.Fatalf("NoTrace run should not publish trace-derived counters")
 	}
 }

@@ -54,11 +54,6 @@ type Options struct {
 	// Context cancels the grid: cells abort promptly when it expires.
 	// Nil means context.Background().
 	Context context.Context
-	// Pool, when non-nil, schedules the grid's cells (and benchmark
-	// preparation) on an existing jobqueue pool — polyflowd shares its
-	// serving pool with figure regeneration this way. Nil runs each grid
-	// on an ephemeral pool sized to GOMAXPROCS.
-	Pool *jobqueue.Pool
 	// Cache, when non-nil, memoizes each cell's simulation in the
 	// content-addressed artifact cache: hits skip the run entirely and
 	// decode the stored result (byte-identical to a fresh run; see
@@ -167,19 +162,17 @@ func (o Options) writeAttrib(bench, policy string, rep *attrib.Report) error {
 	return rep.WriteFile(stem + ".attrib.json")
 }
 
-// pool returns the scheduling pool for a batch of at most depth jobs and
-// whether the caller owns (and must Close) it. Remote grids oversubscribe
-// the worker count: a remote cell blocks its pool worker on HTTP I/O, not
-// on a CPU, so GOMAXPROCS-sized pools would serialize the fan-out.
-func (o Options) pool(depth int) (*jobqueue.Pool, bool) {
-	if o.Pool != nil {
-		return o.Pool, false
-	}
+// pool returns an ephemeral scheduling pool, sized to GOMAXPROCS, for a
+// batch of at most depth jobs; the caller must Close it. Remote grids
+// oversubscribe the worker count: a remote cell blocks its pool worker on
+// HTTP I/O, not on a CPU, so GOMAXPROCS-sized pools would serialize the
+// fan-out.
+func (o Options) pool(depth int) *jobqueue.Pool {
 	workers := 0
 	if o.Remote != nil {
 		workers = 16
 	}
-	return jobqueue.New(jobqueue.Config{Workers: workers, QueueDepth: depth, BaseContext: o.ctx()}), true
+	return jobqueue.New(jobqueue.Config{Workers: workers, QueueDepth: depth, BaseContext: o.ctx()})
 }
 
 // runCell runs one (bench, column) cell. Remote grids run it as a
@@ -292,10 +285,8 @@ func benchesNamed(o Options, names []string) ([]*speculate.Bench, error) {
 	}
 	out := make([]*speculate.Bench, len(wanted))
 	errs := make([]error, len(wanted))
-	pool, owned := o.pool(len(wanted))
-	if owned {
-		defer pool.Close()
-	}
+	pool := o.pool(len(wanted))
+	defer pool.Close()
 	handles := make([]*jobqueue.Handle, len(wanted))
 	for i, name := range wanted {
 		i, name := i, name
@@ -326,9 +317,9 @@ func benchesNamed(o Options, names []string) ([]*speculate.Bench, error) {
 	return out, nil
 }
 
-// runGrid simulates every (bench, column) pair as jobs on the scheduling
-// pool (o.Pool, or an ephemeral pool sized to GOMAXPROCS); colNames label
-// the columns in errors. run must be goroutine-safe across distinct pairs.
+// runGrid simulates every (bench, column) pair as jobs on an ephemeral
+// scheduling pool (see Options.pool); colNames label the columns in
+// errors. run must be goroutine-safe across distinct pairs.
 // A worker runs cells to completion one after another, so machine.Run's
 // pooled arenas settle at one per worker instead of churning through
 // however many goroutines the grid is wide. Every failing cell is
@@ -343,10 +334,8 @@ func runGrid(o Options, benches []*speculate.Bench, colNames []string,
 	for i := range res {
 		res[i] = make([]machine.Result, cols)
 	}
-	pool, owned := o.pool(cells)
-	if owned {
-		defer pool.Close()
-	}
+	pool := o.pool(cells)
+	defer pool.Close()
 	handles := make([]*jobqueue.Handle, cells)
 	for k := 0; k < cells; k++ {
 		k := k

@@ -55,33 +55,9 @@ type Config struct {
 	// BaseContext is the parent of every job context; nil means
 	// context.Background(). Canceling it cancels all running jobs.
 	BaseContext context.Context
-	// Executor runs accepted jobs; nil selects LocalExecutor (invoke the
-	// job's Fn in-process). The cluster coordinator installs a remote
-	// executor that ships each job's Payload to a worker daemon instead.
-	Executor Executor
 	// Logger receives pool lifecycle records (job failures and panics,
 	// drain); nil disables logging.
 	Logger *slog.Logger
-}
-
-// Executor runs one accepted job. The pool's scheduling discipline —
-// priorities, backpressure, per-job contexts, drain — is identical for
-// every executor; only where the work happens differs. Execute is called
-// from pool workers, so it must be safe for concurrent use.
-type Executor interface {
-	Execute(ctx context.Context, j Job) error
-}
-
-// LocalExecutor is the default Executor: it invokes the job's Fn in the
-// worker goroutine.
-type LocalExecutor struct{}
-
-// Execute runs j.Fn.
-func (LocalExecutor) Execute(ctx context.Context, j Job) error {
-	if j.Fn == nil {
-		return fmt.Errorf("jobqueue: job %q has nil Fn", j.ID)
-	}
-	return j.Fn(ctx)
 }
 
 // Job is one unit of work.
@@ -93,11 +69,8 @@ type Job struct {
 	// Timeout bounds the job's run time when positive.
 	Timeout time.Duration
 	// Fn does the work. It must honor ctx for cancellation to be prompt.
-	// Required under LocalExecutor; a custom Executor may ignore it.
+	// Required: Submit rejects a job without one.
 	Fn func(ctx context.Context) error
-	// Payload carries executor-specific data (e.g. the cluster
-	// coordinator's cell descriptor). LocalExecutor ignores it.
-	Payload any
 }
 
 // State is a job's lifecycle position.
@@ -228,7 +201,6 @@ type Pool struct {
 	workers    int
 	queueDepth int
 	base       context.Context
-	exec       Executor
 	logger     *slog.Logger
 
 	mu          sync.Mutex
@@ -257,14 +229,10 @@ func New(cfg Config) *Pool {
 	if cfg.BaseContext == nil {
 		cfg.BaseContext = context.Background()
 	}
-	if cfg.Executor == nil {
-		cfg.Executor = LocalExecutor{}
-	}
 	p := &Pool{
 		workers:     cfg.Workers,
 		queueDepth:  cfg.QueueDepth,
 		base:        cfg.BaseContext,
-		exec:        cfg.Executor,
 		logger:      cfg.Logger,
 		liveRunning: map[*Handle]context.CancelFunc{},
 	}
@@ -281,11 +249,7 @@ func New(cfg Config) *Pool {
 // returned Handle tracks the job to completion.
 func (p *Pool) Submit(j Job) (*Handle, error) {
 	if j.Fn == nil {
-		// Only the local executor needs Fn; a custom executor works off
-		// the job's Payload and may leave it nil.
-		if _, local := p.exec.(LocalExecutor); local {
-			return nil, errors.New("jobqueue: job has nil Fn")
-		}
+		return nil, errors.New("jobqueue: job has nil Fn")
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -439,13 +403,13 @@ func (p *Pool) worker() {
 		if h.job.Timeout > 0 {
 			var tcancel context.CancelFunc
 			ctx, tcancel = context.WithTimeout(ctx, h.job.Timeout)
-			err := runJob(ctx, p.exec, h.job)
+			err := runJob(ctx, h.job)
 			tcancel()
 			cancel()
 			p.settle(h, err)
 			continue
 		}
-		err := runJob(ctx, p.exec, h.job)
+		err := runJob(ctx, h.job)
 		cancel()
 		p.settle(h, err)
 	}
@@ -474,8 +438,8 @@ func (p *Pool) settle(h *Handle, err error) {
 	p.mu.Unlock()
 }
 
-// runJob hands the job to the executor, converting a panic into an error.
-func runJob(ctx context.Context, exec Executor, j Job) (err error) {
+// runJob calls the job's Fn, converting a panic into an error.
+func runJob(ctx context.Context, j Job) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("jobqueue: job %q panicked: %v", j.ID, r)
@@ -484,7 +448,7 @@ func runJob(ctx context.Context, exec Executor, j Job) (err error) {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return exec.Execute(ctx, j)
+	return j.Fn(ctx)
 }
 
 // jobHeap orders handles by (higher priority, earlier submission).

@@ -74,6 +74,14 @@ func TestBackpressureRejectsWhenFull(t *testing.T) {
 	}
 }
 
+func TestSubmitRejectsNilFn(t *testing.T) {
+	p := New(Config{Workers: 1})
+	defer p.Close()
+	if _, err := p.Submit(Job{ID: "no-fn"}); err == nil {
+		t.Fatal("Submit with nil Fn: want error")
+	}
+}
+
 // TestSubmitWaitRidesOutFullQueue: SubmitWait retries ErrQueueFull until
 // a slot frees, gives up when its context ends, and labels any other
 // rejection with the job's ID.
@@ -221,6 +229,16 @@ func TestJobTimeout(t *testing.T) {
 	}})
 	if err := h.Wait(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Wait = %v, want DeadlineExceeded", err)
+	}
+}
+
+func TestJobErrorFailsJob(t *testing.T) {
+	p := New(Config{Workers: 1, QueueDepth: 4})
+	defer p.Close()
+	boom := errors.New("boom")
+	h := submit(t, p, Job{ID: "doomed", Fn: func(ctx context.Context) error { return boom }})
+	if err := h.Wait(context.Background()); !errors.Is(err, boom) || h.State() != Failed {
+		t.Fatalf("failing job: err=%v state=%v, want %v and Failed", err, h.State(), boom)
 	}
 }
 

@@ -69,7 +69,7 @@ func checkMiniCValue(src string, want int64) (*isa.Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compiling generated MiniC: %w", err)
 	}
-	m := emu.New(p, 0)
+	m := emu.New(p)
 	for !m.Halted && m.Count < asmMaxInstrs {
 		if err := m.Step(nil); err != nil {
 			return nil, fmt.Errorf("emulating compiled MiniC: %w", err)

@@ -40,9 +40,9 @@ func DefaultRetry() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4, BaseDelay: 25 * time.Millisecond, MaxDelay: time.Second}
 }
 
-// retryable reports whether a failed attempt with this status code may be
+// Retryable reports whether a failed attempt with this status code may be
 // reissued. Code 0 is a transport-level failure (no HTTP answer at all).
-func (RetryPolicy) retryable(code int) bool {
+func (RetryPolicy) Retryable(code int) bool {
 	return code == 0 || code == http.StatusTooManyRequests || code >= 500
 }
 
@@ -107,7 +107,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) (in
 	}
 	for attempt := 0; ; attempt++ {
 		code, err := c.doOnce(ctx, method, path, payload, out)
-		if err == nil || !c.Retry.retryable(code) || attempt == attempts-1 {
+		if err == nil || !c.Retry.Retryable(code) || attempt == attempts-1 {
 			return code, err
 		}
 		if berr := c.Retry.backoff(ctx, attempt); berr != nil {
@@ -193,6 +193,22 @@ func (c *Client) Cancel(ctx context.Context, id string) error {
 	return err
 }
 
+// abandonTimeout bounds CancelAbandoned's DELETE.
+const abandonTimeout = time.Second
+
+// CancelAbandoned cancels job id when ctx has ended, so a caller that
+// stops waiting on a job it submitted does not leave the daemon simulating
+// an orphan. It is best effort: the DELETE runs under a short timeout
+// detached from ctx's cancellation, and its answer is ignored.
+func (c *Client) CancelAbandoned(ctx context.Context, id string) {
+	if ctx.Err() == nil {
+		return
+	}
+	cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abandonTimeout)
+	defer cancel()
+	c.Cancel(cctx, id)
+}
+
 // Wait polls until the job reaches a terminal state or ctx expires.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (Status, error) {
 	if poll <= 0 {
@@ -222,7 +238,8 @@ const runPoll = 5 * time.Millisecond
 // the job's terminal status: it submits req, waits out HTTP 429 (a batch
 // caller would rather wait than shed load) until ctx ends, waits for the
 // job, and fetches the result. A job that ends in any state other than
-// succeeded is an error. The harness's remote grids and the remote tuner
+// succeeded is an error, and a job abandoned because ctx ended is
+// canceled on the daemon. The harness's remote grids and the remote tuner
 // both run cells through it, so they see the bytes a local RunCell would
 // produce.
 func (c *Client) Run(ctx context.Context, req Request) ([]byte, Status, error) {
@@ -243,6 +260,7 @@ func (c *Client) Run(ctx context.Context, req Request) ([]byte, Status, error) {
 		case <-time.After(runPoll):
 		}
 	}
+	defer c.CancelAbandoned(ctx, st.ID)
 	fin, err := c.Wait(ctx, st.ID, runPoll)
 	if err != nil {
 		return nil, fin, fmt.Errorf("waiting on job %s (%s/%s): %w", st.ID, req.Bench, req.Policy, err)

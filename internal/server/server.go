@@ -265,10 +265,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Pool exposes the scheduling pool, so a daemon can share it with figure
-// regeneration (harness.Options.Pool).
-func (s *Server) Pool() *jobqueue.Pool { return s.pool }
-
 // Cache exposes the artifact cache.
 func (s *Server) Cache() *artifact.Cache { return s.cache }
 

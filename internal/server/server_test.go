@@ -160,6 +160,32 @@ func TestClientRunWaitsOut429(t *testing.T) {
 	}
 }
 
+// TestClientRunCancelsAbandonedJob: a Run whose context ends while its job
+// runs cancels the job on the daemon rather than leaving it running.
+func TestClientRunCancelsAbandonedJob(t *testing.T) {
+	gate := make(chan struct{}) // never closed before cleanup: the job ends via ctx
+	defer close(gate)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := mustServer(t, Config{Runner: stubRunner([]byte("x"), gate)})
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			cancel() // Run polls only once its Submit succeeded; give up then
+		}
+		s.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+	c := &Client{Base: hs.URL, HTTP: hs.Client()}
+	if _, _, err := c.Run(ctx, Request{Bench: "gzip", Policy: "postdoms"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	jobs, err := c.List(context.Background())
+	if err != nil || len(jobs) != 1 {
+		t.Fatalf("List = %+v, %v; want one job", jobs, err)
+	}
+	waitState(t, c, jobs[0].ID, "canceled")
+}
+
 func TestCancelRunningJob(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
@@ -215,7 +241,7 @@ func TestDrainFlips503AndFinishesAccepted(t *testing.T) {
 
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(context.Background()) }()
-	waitFor(t, func() bool { return s.Pool().Draining() }, "pool draining")
+	waitFor(t, func() bool { return s.pool.Draining() }, "pool draining")
 
 	// Draining: healthz degrades and submissions answer 503.
 	if c.Healthy(ctx) {
