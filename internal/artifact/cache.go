@@ -65,6 +65,9 @@ type call struct {
 	data []byte
 	hit  bool
 	err  error
+	// abandoned reports that err came from the leader's own context
+	// ending, not from the computation: followers still waiting retry.
+	abandoned bool
 }
 
 // New opens a cache, creating the disk directory when needed.
@@ -177,7 +180,9 @@ func (c *Cache) Put(hash string, data []byte) error {
 // reports whether the artifact came from the cache (for followers of a
 // deduplicated computation it reports false: the pipeline did run for
 // them, just once for all of them). A compute error is returned to every
-// waiter and nothing is stored.
+// waiter and nothing is stored — except when the leader failed because its
+// own context ended: a follower whose context is still live then retries,
+// and may become the new leader.
 func (c *Cache) GetOrCompute(ctx context.Context, hash string, compute func(ctx context.Context) ([]byte, error)) ([]byte, bool, error) {
 	if data, ok := c.memGet(hash); ok {
 		c.memHits.Add(1)
@@ -189,6 +194,9 @@ func (c *Cache) GetOrCompute(ctx context.Context, hash string, compute func(ctx 
 		c.mu.Unlock()
 		select {
 		case <-cl.done:
+			if cl.abandoned && ctx.Err() == nil {
+				return c.GetOrCompute(ctx, hash, compute)
+			}
 			return cl.data, cl.hit, cl.err
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
@@ -199,6 +207,7 @@ func (c *Cache) GetOrCompute(ctx context.Context, hash string, compute func(ctx 
 	c.mu.Unlock()
 
 	cl.data, cl.hit, cl.err = c.lead(ctx, hash, compute)
+	cl.abandoned = cl.err != nil && ctx.Err() != nil
 	c.mu.Lock()
 	delete(c.flight, hash)
 	c.mu.Unlock()

@@ -185,3 +185,68 @@ func TestGetOrComputeManyKeys(t *testing.T) {
 		}
 	}
 }
+
+// doneWatch is a context that reports when a caller first selects on its
+// Done channel — the moment a singleflight follower starts waiting.
+type doneWatch struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (d *doneWatch) Done() <-chan struct{} {
+	d.once.Do(func() { close(d.waiting) })
+	return d.Context.Done()
+}
+
+// TestGetOrComputeCanceledLeaderSparesFollowers: a leader whose own context
+// ends mid-compute must not hand its cancellation to a follower whose
+// context is still live; the follower retries and computes.
+func TestGetOrComputeCanceledLeaderSparesFollowers(t *testing.T) {
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := hashOf("abandoned")
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	started, release := make(chan struct{}), make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetOrCompute(leaderCtx, h, func(ctx context.Context) ([]byte, error) {
+			close(started)
+			<-release
+			return nil, ctx.Err()
+		})
+		leaderErr <- err
+	}()
+	<-started
+
+	follower := &doneWatch{Context: context.Background(), waiting: make(chan struct{})}
+	var computes atomic.Int64
+	type result struct {
+		data []byte
+		err  error
+	}
+	got := make(chan result, 1)
+	go func() {
+		data, _, err := c.GetOrCompute(follower, h, func(ctx context.Context) ([]byte, error) {
+			computes.Add(1)
+			return []byte("product"), nil
+		})
+		got <- result{data, err}
+	}()
+	<-follower.waiting
+	cancel()
+	close(release)
+
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	r := <-got
+	if r.err != nil || string(r.data) != "product" {
+		t.Fatalf("follower = %q, %v; want product, nil", r.data, r.err)
+	}
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("follower computed %d times, want 1", n)
+	}
+}

@@ -25,8 +25,9 @@ import (
 
 // KeySchema identifies the key layout. Bump on any change to the fields
 // hashed into a key — old cache entries then miss instead of aliasing.
-// v2 added the spawn-site mask to the configuration fingerprint.
-const KeySchema = "polyflow-sim-key/2"
+// v2 added the spawn-site mask to the configuration fingerprint; v3 made
+// the fingerprint machine.Config's own JSON encoding.
+const KeySchema = "polyflow-sim-key/3"
 
 // ErrUncacheable marks inputs whose identity cannot be captured in a key:
 // a bench prepared from an unregistered source, or a configuration with a
@@ -70,10 +71,14 @@ func NewSimKey(workload, sourceSHA string, maxInstrs int, policy string, cfg mac
 
 // Hash returns the key's content address: the hex SHA-256 of its canonical
 // JSON serialization.
-func (k Key) Hash() string {
-	data, err := json.Marshal(k)
+func (k Key) Hash() string { return hashJSON(k) }
+
+// hashJSON is the content address shared by every key type: the hex
+// SHA-256 of v's JSON serialization. Keys are structs of strings and ints,
+// so Marshal cannot fail.
+func hashJSON(v any) string {
+	data, err := json.Marshal(v)
 	if err != nil {
-		// Key is a struct of strings and ints; Marshal cannot fail.
 		panic(err)
 	}
 	sum := sha256.Sum256(data)
@@ -86,93 +91,21 @@ func SourceSHA(src string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// configKey shadows machine.Config field-for-field for the semantic
-// (timing- or result-relevant) fields. The runtime observer attachments —
-// Telemetry, Attribution, OnSample — are deliberately absent: they record
-// a run without changing its outcome (the overhead guards and
-// VerifyAttribution prove it), so attaching them must not split the cache.
-// TestConfigFingerprintCoversEveryField walks machine.Config by reflection
-// and fails when a new field is neither mirrored here nor explicitly
-// allowlisted as an observer, so a field cannot be forgotten silently.
-type configKey struct {
-	Name               string
-	Width              int
-	FetchTasksPerCycle int
-	FrontEndDepth      int
-	FetchBufPerTask    int
-	GshareLog2         int
-	GshareHistBits     int
-	BTBLog2            int
-	RASDepth           int
-	RedirectPenalty    int
-	ROBSize            int
-	SchedSize          int
-	NumFUs             int
-	CommitWidth        int
-	DivertQSize        int
-	ROBReserve         int
-	SchedReserve       int
-	MaxTasks           int
-	MaxSpawnDistance   int
-	MinSpawnDistance   int
-	SpawnFromTailOnly  bool
-	StoreSetWays       int
-	SpawnLatency       int
-	ProfitPatience     int
-	ProfitMinTaskLen   int
-	SpawnMask          string
-	HintCacheLog2      int
-	ReclaimROB         bool
-	WarmupInstrs       int
-	SampleInterval     int64
-	Caches             string
-	PolledScheduler    bool
-	MaxCycles          int64
-}
-
-// ConfigFingerprint canonicalizes a machine configuration for keying.
-// Configurations with a custom cache hierarchy are ErrUncacheable: the
-// hierarchy's geometry lives behind unexported fields, so its identity
-// cannot be hashed faithfully.
+// ConfigFingerprint canonicalizes a machine configuration for keying: its
+// JSON encoding, which leaves out the run observers (machine.Config tags
+// them `json:"-"`) and carries the spawn mask in canonical form. Nil and
+// empty masks are the same mask and fingerprint alike. Configurations with
+// a custom cache hierarchy are ErrUncacheable: the hierarchy's geometry
+// lives behind unexported fields, so its identity cannot be hashed
+// faithfully.
 func ConfigFingerprint(cfg machine.Config) (string, error) {
 	if cfg.Caches != nil {
 		return "", fmt.Errorf("%w: custom cache hierarchy attached", ErrUncacheable)
 	}
-	data, err := json.Marshal(configKey{
-		Name:               cfg.Name,
-		Width:              cfg.Width,
-		FetchTasksPerCycle: cfg.FetchTasksPerCycle,
-		FrontEndDepth:      cfg.FrontEndDepth,
-		FetchBufPerTask:    cfg.FetchBufPerTask,
-		GshareLog2:         cfg.GshareLog2,
-		GshareHistBits:     cfg.GshareHistBits,
-		BTBLog2:            cfg.BTBLog2,
-		RASDepth:           cfg.RASDepth,
-		RedirectPenalty:    cfg.RedirectPenalty,
-		ROBSize:            cfg.ROBSize,
-		SchedSize:          cfg.SchedSize,
-		NumFUs:             cfg.NumFUs,
-		CommitWidth:        cfg.CommitWidth,
-		DivertQSize:        cfg.DivertQSize,
-		ROBReserve:         cfg.ROBReserve,
-		SchedReserve:       cfg.SchedReserve,
-		MaxTasks:           cfg.MaxTasks,
-		MaxSpawnDistance:   cfg.MaxSpawnDistance,
-		MinSpawnDistance:   cfg.MinSpawnDistance,
-		SpawnFromTailOnly:  cfg.SpawnFromTailOnly,
-		StoreSetWays:       cfg.StoreSetWays,
-		SpawnLatency:       cfg.SpawnLatency,
-		ProfitPatience:     cfg.ProfitPatience,
-		ProfitMinTaskLen:   cfg.ProfitMinTaskLen,
-		SpawnMask:          cfg.SpawnMask.Encode(),
-		HintCacheLog2:      cfg.HintCacheLog2,
-		ReclaimROB:         cfg.ReclaimROB,
-		WarmupInstrs:       cfg.WarmupInstrs,
-		SampleInterval:     cfg.SampleInterval,
-		Caches:             "default",
-		PolledScheduler:    cfg.PolledScheduler,
-		MaxCycles:          cfg.MaxCycles,
-	})
+	if cfg.SpawnMask.Len() == 0 {
+		cfg.SpawnMask = nil
+	}
+	data, err := json.Marshal(cfg)
 	if err != nil {
 		return "", err
 	}

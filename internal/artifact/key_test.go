@@ -104,7 +104,7 @@ func TestConfigFingerprintCoversEveryField(t *testing.T) {
 			v.SetString(v.String() + "x")
 		default:
 			t.Fatalf("Config field %s has kind %s the fingerprint test cannot mutate — "+
-				"extend this test AND configKey in key.go", f.Name, v.Kind())
+				"extend this test", f.Name, v.Kind())
 		}
 		fp, err := ConfigFingerprint(cfg)
 		if err != nil {
@@ -112,7 +112,7 @@ func TestConfigFingerprintCoversEveryField(t *testing.T) {
 			continue
 		}
 		if fp == baseFP {
-			t.Errorf("mutating Config.%s did not change the fingerprint — add it to configKey in key.go", f.Name)
+			t.Errorf("mutating Config.%s did not change the fingerprint — is it tagged json:\"-\"?", f.Name)
 		}
 	}
 }

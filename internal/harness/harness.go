@@ -242,19 +242,9 @@ func fileToken(name string) string {
 	}, strings.ReplaceAll(name, " - ", "-"))
 }
 
-// Benches returns the prepared benchmarks in figure order, preparing them
-// in parallel on first use.
-func Benches() ([]*speculate.Bench, error) {
-	return BenchesNamed(nil)
-}
-
-// BenchesNamed returns the named benchmarks (all of them when names is
-// empty) in figure order, preparing them in parallel on first use.
-func BenchesNamed(names []string) ([]*speculate.Bench, error) {
-	return benchesNamed(Options{}, names)
-}
-
-// benchesNamed prepares the named benchmarks on o's scheduling pool.
+// benchesNamed returns the named benchmarks (all of o's family when names
+// is empty) in figure order, preparing them in parallel on o's scheduling
+// pool.
 func benchesNamed(o Options, names []string) ([]*speculate.Bench, error) {
 	all := speculate.WorkloadNames()
 	if o.Family != "" {
@@ -643,9 +633,12 @@ type Fig5Row struct {
 // types per benchmark.
 func Figure5() ([]Fig5Row, error) { return Figure5Opts(Options{}) }
 
-// Figure5Opts is Figure5 restricted to o's benchmark selection.
+// Figure5Opts is Figure5 restricted to o's benchmark selection. The
+// figure is static analysis, so benchmarks are always prepared locally,
+// even when o.Remote is set.
 func Figure5Opts(o Options) ([]Fig5Row, error) {
-	benches, err := BenchesNamed(o.Benches)
+	o.Remote = nil
+	benches, err := benchesNamed(o, o.Benches)
 	if err != nil {
 		return nil, err
 	}

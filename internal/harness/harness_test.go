@@ -13,6 +13,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/server"
 )
 
 func TestFigure5(t *testing.T) {
@@ -36,6 +37,24 @@ func TestFigure5(t *testing.T) {
 	out := FormatFigure5(rows)
 	if !strings.Contains(out, "twolf") || !strings.Contains(out, "Hammock%") {
 		t.Fatalf("Figure 5 formatting wrong:\n%s", out)
+	}
+}
+
+// TestFigure5Family: Figure 5 honours Options.Family, and prepares its
+// benchmarks locally even when a remote daemon is configured (the figure is
+// static analysis; the unreachable Remote must never be contacted).
+func TestFigure5Family(t *testing.T) {
+	rows, err := Figure5Opts(Options{Family: "kernels", Remote: &server.Client{Base: "http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range rows {
+		got = append(got, r.Bench)
+	}
+	want := speculate.FamilyWorkloadNames("kernels")
+	if len(want) == 0 || strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("rows = %v, want the kernels family %v", got, want)
 	}
 }
 
@@ -223,7 +242,7 @@ func TestFigure12RecPredApproximates(t *testing.T) {
 }
 
 func TestRunGridErrorContext(t *testing.T) {
-	benches, err := BenchesNamed([]string{"twolf"})
+	benches, err := benchesNamed(Options{}, []string{"twolf"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +273,7 @@ func TestRunGridErrorContext(t *testing.T) {
 }
 
 func TestBenchesNamedUnknown(t *testing.T) {
-	_, err := BenchesNamed([]string{"nonesuch"})
+	_, err := benchesNamed(Options{}, []string{"nonesuch"})
 	if err == nil || !strings.Contains(err.Error(), "nonesuch") {
 		t.Fatalf("unknown bench error = %v", err)
 	}

@@ -25,7 +25,11 @@ import (
 )
 
 // Config holds the pipeline parameters (Figure 8) plus the Task Spawn Unit
-// knobs.
+// knobs. Its JSON encoding is the configuration's artifact-cache
+// fingerprint (internal/artifact): every field is part of it except the
+// run observers tagged `json:"-"`, which record a run without changing its
+// outcome. A new field is therefore keyed unless it is tagged as an
+// observer.
 type Config struct {
 	Name string
 
@@ -112,10 +116,11 @@ type Config struct {
 	// streams these as SSE job-progress events). It runs on the simulation
 	// goroutine and must be cheap; it observes the run without affecting
 	// its outcome.
-	OnSample func(cycle, retired int64)
+	OnSample func(cycle, retired int64) `json:"-"`
 
-	// Caches; nil selects cachesim.DefaultHierarchy.
-	Caches *cachesim.Hierarchy
+	// Caches; nil selects cachesim.DefaultHierarchy. A custom hierarchy
+	// cannot be fingerprinted, so it makes the configuration uncacheable.
+	Caches *cachesim.Hierarchy `json:"-"`
 
 	// Telemetry, when non-nil, receives this run's metrics (registered by
 	// name into its Registry, with machine.Stats kept as a compatibility
@@ -123,7 +128,7 @@ type Config struct {
 	// cycle-timeline events of docs/OBSERVABILITY.md. One Collector
 	// observes one run: sharing it across concurrent runs is a data race.
 	// Nil disables telemetry entirely at ~zero cost on the hot loop.
-	Telemetry *telemetry.Collector
+	Telemetry *telemetry.Collector `json:"-"`
 
 	// Attribution, when non-nil, receives per-spawn-site accounting:
 	// every task is keyed by its static spawn point (trigger PC +
@@ -133,7 +138,7 @@ type Config struct {
 	// — one Table observes one run at a time, and reusing it across
 	// sequential runs keeps the hot loop allocation-free. Nil disables
 	// attribution at ~zero cost.
-	Attribution *attrib.Table
+	Attribution *attrib.Table `json:"-"`
 
 	// PolledScheduler selects the original O(scheduler) per-cycle issue
 	// rescan instead of the event-driven producer-wakeup scheduler. The two

@@ -120,6 +120,10 @@ func (m *SpawnMask) Encode() string {
 // String is Encode, for printing.
 func (m *SpawnMask) String() string { return m.Encode() }
 
+// MarshalText is Encode, so a Config's JSON fingerprint carries the
+// mask's canonical form.
+func (m *SpawnMask) MarshalText() ([]byte, error) { return []byte(m.Encode()), nil }
+
 // ParseSpawnMask parses the "0xPC:kind,..." form accepted by the CLIs and
 // the daemon API. Entries may arrive in any order and duplicated; the
 // result re-encodes canonically. The empty string parses to nil (no mask).

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -208,6 +210,73 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 	if _, err := c.ResultBytes(ctx, st.ID); err == nil {
 		t.Fatal("canceled job served a result")
+	}
+}
+
+// doneWatch is a context that reports when a caller first selects on its
+// Done channel — in the simulate path, the moment a job starts waiting on
+// another job's in-flight computation of the same cell.
+type doneWatch struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (d *doneWatch) Done() <-chan struct{} {
+	d.once.Do(func() { close(d.waiting) })
+	return d.Context.Done()
+}
+
+// TestCancelDoesNotFailSharedCell: two jobs for one uncached cell share a
+// single simulation. Canceling the job that leads it must not cancel the
+// other — that job's own context is live, so it simulates the cell itself.
+func TestCancelDoesNotFailSharedCell(t *testing.T) {
+	var s *Server
+	var calls atomic.Int32
+	simulating := make(chan struct{})
+	follower := &doneWatch{waiting: make(chan struct{})}
+	runner := func(ctx context.Context, req Request, progress ProgressFunc) ([]byte, bool, error) {
+		if calls.Add(1) == 1 {
+			// The first job stalls mid-simulation until it is canceled.
+			var once sync.Once
+			progress = func(cycle, retired int64) {
+				once.Do(func() {
+					close(simulating)
+					<-ctx.Done()
+				})
+			}
+		} else {
+			follower.Context = ctx
+			ctx = follower
+		}
+		return s.simulate(ctx, req, progress)
+	}
+	var c *Client
+	s, c = newTestServer(t, Config{Runner: runner})
+	ctx := context.Background()
+	req := Request{Bench: "gzip", Policy: "postdoms", SampleInterval: 1000}
+	first, _, err := c.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-simulating
+	second, _, err := c.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-follower.waiting
+	if err := c.Cancel(ctx, first.ID); err != nil {
+		t.Fatal(err)
+	}
+	if fin, err := c.Wait(ctx, first.ID, time.Millisecond); err != nil || fin.State != "canceled" {
+		t.Fatalf("first job: %+v, %v; want canceled", fin, err)
+	}
+	fin, err := c.Wait(ctx, second.ID, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != "succeeded" {
+		t.Fatalf("second job state = %q (%s), want succeeded", fin.State, fin.Error)
 	}
 }
 
