@@ -17,7 +17,7 @@ import (
 
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Figure5()
+		rows, err := harness.Figure5Opts(harness.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -41,9 +41,9 @@ func BenchmarkFigure8(b *testing.B) {
 	}
 }
 
-func benchSpeedupTable(b *testing.B, run func() (*harness.SpeedupTable, error)) {
+func benchSpeedupTable(b *testing.B, figure func(harness.Options) (*harness.SpeedupTable, error), o harness.Options) {
 	for i := 0; i < b.N; i++ {
-		tab, err := run()
+		tab, err := figure(o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,25 +56,23 @@ func benchSpeedupTable(b *testing.B, run func() (*harness.SpeedupTable, error)) 
 
 // BenchmarkFigure9 regenerates the individual-heuristic comparison
 // (loop, loopFT, procFT, hammock, other, postdoms over the superscalar).
-func BenchmarkFigure9(b *testing.B) { benchSpeedupTable(b, harness.Figure9) }
+func BenchmarkFigure9(b *testing.B) { benchSpeedupTable(b, harness.Figure9Opts, harness.Options{}) }
 
 // BenchmarkFigure10 regenerates the heuristic-combination comparison.
-func BenchmarkFigure10(b *testing.B) { benchSpeedupTable(b, harness.Figure10) }
+func BenchmarkFigure10(b *testing.B) { benchSpeedupTable(b, harness.Figure10Opts, harness.Options{}) }
 
 // BenchmarkKernelsGrid runs the individual-heuristic grid over the kernels
 // workload family — the five loader + syscall programs — reporting the
 // postdoms-average speedup the same way Figure 9 does for the synthetic
 // twelve.
 func BenchmarkKernelsGrid(b *testing.B) {
-	benchSpeedupTable(b, func() (*harness.SpeedupTable, error) {
-		return harness.Figure9Opts(harness.Options{Family: "kernels"})
-	})
+	benchSpeedupTable(b, harness.Figure9Opts, harness.Options{Family: "kernels"})
 }
 
 // BenchmarkFigure12 regenerates the reconvergence-predictor comparison.
 func BenchmarkFigure12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tab, err := harness.Figure12()
+		tab, err := harness.Figure12Opts(harness.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,7 +92,7 @@ func BenchmarkFigure12(b *testing.B) {
 // BenchmarkFigure11 regenerates the leave-one-category-out losses.
 func BenchmarkFigure11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tab, err := harness.Figure11()
+		tab, err := harness.Figure11Opts(harness.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

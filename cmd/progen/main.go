@@ -4,15 +4,15 @@
 // Every oracle failure in the test suite and the fuzz targets prints a
 // seed and a ready-to-run command line:
 //
-//	go run ./cmd/progen -tier minic -seed 1234            # re-run the oracles
-//	go run ./cmd/progen -tier minic -seed 1234 -dump      # print the generated case
-//	go run ./cmd/progen -tier minic -seed 1234 -minimize  # shrink to a standalone case
-//	go run ./cmd/progen -tier cfg -seed 0 -count 10000    # sweep a seed range
+//	go run ./cmd/progen -tier attrib -seed 1234            # re-run the oracles
+//	go run ./cmd/progen -tier attrib -seed 1234 -dump      # print the generated case
+//	go run ./cmd/progen -tier attrib -seed 1234 -minimize  # shrink the failing case
+//	go run ./cmd/progen -tier cfg -seed 0 -count 10000     # sweep a seed range
 //
-// Tiers: cfg (graph analyses), minic (compiler pipeline), isa (assembler/
-// emulator/analysis), machine (scheduler differential). Generation is a
-// pure function of the seed, so the dumped case is byte-identical on
-// every run and every platform. Exit status is 1 when any seed fails.
+// The tiers are the table progen.Tiers; `progen -h` lists their names.
+// Generation is a pure function of the seed, so the dumped case is
+// byte-identical on every run and every platform. Exit status is 1 when
+// any seed fails and 2 on bad usage.
 package main
 
 import (
@@ -25,40 +25,35 @@ import (
 
 func main() {
 	var (
-		tier     = flag.String("tier", "cfg", "tier to run: cfg, minic, isa, machine")
+		tierName = flag.String("tier", "cfg", "tier to run: "+progen.TierNames())
 		seed     = flag.Uint64("seed", 0, "generator seed (start of range with -count)")
 		count    = flag.Uint64("count", 1, "number of consecutive seeds to check")
 		dump     = flag.Bool("dump", false, "print the generated case instead of checking it")
-		minimize = flag.Bool("minimize", false, "on failure, greedily shrink to a standalone case")
+		minimize = flag.Bool("minimize", false, "on failure, greedily shrink the failing case")
 	)
 	flag.Parse()
 
-	check, ok := map[string]func(uint64) error{
-		"cfg":     progen.CheckCFGSeed,
-		"minic":   progen.CheckMiniCSeed,
-		"isa":     progen.CheckAsmSeed,
-		"machine": progen.CheckMachineSeed,
-	}[*tier]
+	tier, ok := progen.LookupTier(*tierName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "progen: unknown tier %q (want cfg, minic, isa, machine)\n", *tier)
+		fmt.Fprintf(os.Stderr, "progen: unknown tier %q (want %s)\n", *tierName, progen.TierNames())
 		os.Exit(2)
 	}
 
 	if *dump {
-		fmt.Print(dumpCase(*tier, *seed))
+		fmt.Print(tier.Dump(*seed))
 		return
 	}
 
 	failures := 0
 	for s := *seed; s < *seed+*count; s++ {
-		err := check(s)
+		err := tier.Check(s)
 		if err == nil {
 			continue
 		}
 		failures++
 		fmt.Fprintf(os.Stderr, "FAIL %v\n", err)
 		if *minimize {
-			fmt.Println(minimizeCase(*tier, s))
+			fmt.Println(tier.Minimize(s))
 		}
 	}
 	if failures > 0 {
@@ -66,48 +61,8 @@ func main() {
 		os.Exit(1)
 	}
 	if *count > 1 {
-		fmt.Printf("progen: %d seeds OK (tier %s, seeds %d..%d)\n", *count, *tier, *seed, *seed+*count-1)
+		fmt.Printf("progen: %d seeds OK (tier %s, seeds %d..%d)\n", *count, tier.Name, *seed, *seed+*count-1)
 	} else {
-		fmt.Printf("progen: seed %d OK (tier %s)\n", *seed, *tier)
-	}
-}
-
-func dumpCase(tier string, seed uint64) string {
-	switch tier {
-	case "cfg":
-		return progen.GenCFG(seed).Dump()
-	case "minic":
-		return progen.GenMiniC(seed)
-	default: // isa, machine share the Tier-3 generator
-		return progen.GenAsm(seed)
-	}
-}
-
-// minimizeCase greedily shrinks the failing case at the generation level
-// (graph nodes/edges, MiniC statements, assembly shapes) and returns the
-// smallest still-failing standalone form.
-func minimizeCase(tier string, seed uint64) string {
-	switch tier {
-	case "cfg":
-		m := progen.MinimizeCFG(progen.GenCFG(seed), func(c *progen.CFG) bool {
-			return progen.CheckCFG(c) != nil
-		})
-		return "minimized failing graph:\n" + m.Dump()
-	case "minic":
-		src, failed := progen.MinimizeMiniCSeed(seed)
-		if !failed {
-			return "minimizer: value oracle passes standalone; dumping the full case:\n" + src
-		}
-		return "minimized failing program:\n" + src
-	case "isa":
-		src, _ := progen.MinimizeAsmSeed(seed, func(s string) bool {
-			return progen.CheckAsmSource(s) != nil
-		})
-		return "minimized failing program:\n" + src
-	default: // machine
-		src, _ := progen.MinimizeAsmSeed(seed, func(s string) bool {
-			return progen.CheckMachineSource(s) != nil
-		})
-		return "minimized failing program:\n" + src
+		fmt.Printf("progen: seed %d OK (tier %s)\n", *seed, tier.Name)
 	}
 }

@@ -493,32 +493,24 @@ func speedupTable(title string, columns []string, o Options) (*SpeedupTable, err
 	return t, nil
 }
 
-// Figure9 evaluates the individual heuristic policies and full
-// postdominator spawning.
-func Figure9() (*SpeedupTable, error) { return Figure9Opts(Options{}) }
-
-// Figure9Opts is Figure9 narrowed/instrumented by o.
+// Figure9Opts evaluates the individual heuristic policies and full
+// postdominator spawning, narrowed/instrumented by o.
 func Figure9Opts(o Options) (*SpeedupTable, error) {
 	return speedupTable(
 		"Figure 9: Individual heuristic policies (speedup % over superscalar)",
 		policyNames(core.IndividualPolicies()), o)
 }
 
-// Figure10 evaluates the heuristic combination policies against postdoms.
-func Figure10() (*SpeedupTable, error) { return Figure10Opts(Options{}) }
-
-// Figure10Opts is Figure10 narrowed/instrumented by o.
+// Figure10Opts evaluates the heuristic combination policies against
+// postdoms, narrowed/instrumented by o.
 func Figure10Opts(o Options) (*SpeedupTable, error) {
 	return speedupTable(
 		"Figure 10: Combination heuristics (speedup % over superscalar)",
 		policyNames(core.CombinationPolicies()), o)
 }
 
-// Figure12 evaluates dynamic reconvergence prediction against
-// compiler-generated postdominators.
-func Figure12() (*SpeedupTable, error) { return Figure12Opts(Options{}) }
-
-// Figure12Opts is Figure12 narrowed/instrumented by o.
+// Figure12Opts evaluates dynamic reconvergence prediction against
+// compiler-generated postdominators, narrowed/instrumented by o.
 func Figure12Opts(o Options) (*SpeedupTable, error) {
 	return speedupTable(
 		"Figure 12: Reconvergence-predictor spawning vs compiler postdominators",
@@ -576,10 +568,8 @@ func (t *LossTable) Format() string {
 	return b.String()
 }
 
-// Figure11 measures the loss from excluding each spawn category.
-func Figure11() (*LossTable, error) { return Figure11Opts(Options{}) }
-
-// Figure11Opts is Figure11 narrowed/instrumented by o. The policy filter
+// Figure11Opts measures the loss from excluding each spawn category,
+// narrowed/instrumented by o. The policy filter
 // selects exclusion columns; the postdoms reference always runs because
 // the loss metric is relative to it.
 func Figure11Opts(o Options) (*LossTable, error) {
@@ -629,11 +619,8 @@ type Fig5Row struct {
 	Total  int                // total static postdominator spawn points
 }
 
-// Figure5 computes the static distribution of control-equivalent task
-// types per benchmark.
-func Figure5() ([]Fig5Row, error) { return Figure5Opts(Options{}) }
-
-// Figure5Opts is Figure5 restricted to o's benchmark selection. The
+// Figure5Opts computes the static distribution of control-equivalent
+// task types per benchmark, restricted to o's benchmark selection. The
 // figure is static analysis, so benchmarks are always prepared locally,
 // even when o.Remote is set.
 func Figure5Opts(o Options) ([]Fig5Row, error) {

@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// Tier 3: random ISA assembly programs. Termination is guaranteed by
+// GenAsm: random ISA assembly programs. Termination is guaranteed by
 // construction:
 //
 //   - every backward branch is a counter loop over a dedicated
@@ -29,7 +29,7 @@ const (
 	asmAddrMask   = 0x1F8 // keeps 8-byte accesses inside buf
 )
 
-// asmPlan is the generation-level representation of a Tier-3 program.
+// asmPlan is the generation-level representation of a GenAsm program.
 // Rendering a plan is deterministic, and the minimizer works by dropping
 // shapes from it rather than editing text.
 type asmPlan struct {
@@ -148,7 +148,7 @@ type callShape struct {
 
 func (s *callShape) cost() int { return 6 + s.callee.cost }
 
-// GenAsm renders the Tier-3 program for seed. Byte-identical output for
+// GenAsm renders the assembly program for seed. Byte-identical output for
 // identical seeds.
 func GenAsm(seed uint64) string { return genAsmPlan(newRNG(seed)).render() }
 
@@ -308,7 +308,7 @@ func genALULine(r *rng) string {
 // a single counter in plan-walk order, so rendering is deterministic.
 func (p *asmPlan) render() string {
 	rd := &asmRenderer{}
-	rd.b.WriteString("# progen tier-3 program\n")
+	rd.b.WriteString("# progen GenAsm program\n")
 	for _, f := range p.funcs {
 		rd.renderFunc(f)
 	}

@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// Shape selects how a Tier-1 CFG is generated.
+// Shape selects how a GenCFG graph is generated.
 type Shape int
 
 // CFG generation shapes.
@@ -37,7 +37,7 @@ func (s Shape) String() string {
 	return fmt.Sprintf("shape(%d)", int(s))
 }
 
-// CFG is one generated Tier-1 graph.
+// CFG is one generated graph.
 type CFG struct {
 	Succs [][]int
 	Entry int

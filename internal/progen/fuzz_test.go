@@ -39,20 +39,6 @@ func FuzzCDG(f *testing.F) {
 	})
 }
 
-// FuzzMiniC drives generated MiniC sources through cc→asm→isa→emu and
-// compares against the reference interpreter, then runs the compiled
-// image through the graph oracles.
-func FuzzMiniC(f *testing.F) {
-	for seed := uint64(0); seed < 6; seed++ {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, seed uint64) {
-		if err := CheckMiniCSeed(seed); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // FuzzMachineDifferential runs generated ISA programs through the
 // event-driven and polled schedulers under stress configurations and
 // requires bit-identical results.

@@ -1,11 +1,11 @@
 package progen
 
 // Greedy minimizers. Each works on the generation-level representation
-// (graph, AST, or shape plan) rather than on text, so every reduction
-// step stays well-formed by construction: dropping a statement cannot
+// (graph or shape plan) rather than on text, so every reduction
+// step stays well-formed by construction: dropping a shape cannot
 // orphan a label, and dropping a CFG node renumbers the survivors.
 
-// MinimizeCFG shrinks a failing Tier-1 graph while `failing` keeps
+// MinimizeCFG shrinks a failing GenCFG graph while `failing` keeps
 // returning true: first by deleting nodes (entry and exit are kept), then
 // by deleting individual edges, to a fixpoint. The input graph is not
 // modified.
@@ -68,79 +68,7 @@ func deleteNode(c *CFG, v int) *CFG {
 	return out
 }
 
-// MinimizeMiniCSeed regenerates the Tier-2 program for seed and greedily
-// drops statements while the compiler-vs-interpreter oracle still fails,
-// returning the minimized source. The second result is false when the
-// seed does not fail in the first place.
-func MinimizeMiniCSeed(seed uint64) (string, bool) {
-	prog := genMiniCProg(newRNG(seed))
-	failing := func(p *mcProg) bool { return checkMiniCProg(p) != nil }
-	if !failing(prog) {
-		return prog.render(), false
-	}
-	minimizeStmts(progStmtLists(prog), func() bool { return failing(prog) })
-	return prog.render(), true
-}
-
-// checkMiniCProg runs the Tier-2 value oracle on an in-memory program:
-// the reference interpreter's answer must match the compiled program's
-// $v0. (Minimization targets the compiler-vs-interpreter divergence; the
-// downstream graph oracles have their own CFG-level minimizer.)
-func checkMiniCProg(prog *mcProg) error {
-	want, err := prog.interpret()
-	if err != nil {
-		return err
-	}
-	_, err = checkMiniCValue(prog.render(), want)
-	return err
-}
-
-// progStmtLists collects a pointer to every statement list in the program
-// (function bodies, if arms, loop bodies), outermost first.
-func progStmtLists(p *mcProg) []*[]mcStmt {
-	var out []*[]mcStmt
-	var walk func(l *[]mcStmt)
-	walk = func(l *[]mcStmt) {
-		out = append(out, l)
-		for _, s := range *l {
-			switch n := s.(type) {
-			case *mcIf:
-				walk(&n.then)
-				walk(&n.els)
-			case *mcLoop:
-				walk(&n.body)
-			}
-		}
-	}
-	for _, f := range p.funcs {
-		walk(&f.body)
-	}
-	return out
-}
-
-// minimizeStmts greedily deletes statements from the given lists while
-// stillFailing() holds, iterating to a fixpoint. Deleting a statement
-// never breaks well-formedness: all locals stay declared and loops stay
-// counter loops.
-func minimizeStmts(lists []*[]mcStmt, stillFailing func() bool) {
-	for changed := true; changed; {
-		changed = false
-		for _, l := range lists {
-			for i := len(*l) - 1; i >= 0; i-- {
-				saved := *l
-				next := append(append([]mcStmt{}, saved[:i]...), saved[i+1:]...)
-				*l = next
-				if stillFailing() {
-					changed = true
-				} else {
-					*l = saved
-				}
-			}
-		}
-	}
-}
-
-// MinimizeAsmSeed regenerates the Tier-3 plan for seed and greedily drops
+// MinimizeAsmSeed regenerates the GenAsm plan for seed and greedily drops
 // shapes while `failing` (given the rendered source) still reports an
 // error, returning the minimized source. The second result is false when
 // the seed does not fail.

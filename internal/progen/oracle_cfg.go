@@ -279,7 +279,7 @@ func VerifyLoops(succs [][]int, root int) error {
 	return nil
 }
 
-// CheckCFG runs every Tier-1 oracle on one graph.
+// CheckCFG runs every graph oracle on one graph.
 func CheckCFG(c *CFG) error {
 	if err := CheckDominators(c); err != nil {
 		return err
@@ -290,7 +290,7 @@ func CheckCFG(c *CFG) error {
 	return VerifyLoops(c.Succs, c.Entry)
 }
 
-// CheckCFGSeed generates the Tier-1 graph for seed and runs every graph
+// CheckCFGSeed generates the GenCFG graph for seed and runs every graph
 // oracle over it. Any failure carries the seed.
 func CheckCFGSeed(seed uint64) error {
 	return fail("cfg", seed, CheckCFG(GenCFG(seed)))

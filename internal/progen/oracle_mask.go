@@ -12,7 +12,7 @@ import (
 	"repro/internal/trace"
 )
 
-// CheckSpawnMaskSeed generates the Tier-3 program for seed and checks the
+// CheckSpawnMaskSeed generates the GenAsm program for seed and checks the
 // spawn-mask subsystem against it: the mask codec round-trips canonically
 // over a randomly drawn mask, a masked run completes on both schedulers
 // with bit-identical results, per-site attribution still reconciles

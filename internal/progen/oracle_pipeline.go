@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/attrib"
-	"repro/internal/cc"
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/emu"
@@ -22,66 +21,12 @@ import (
 // means the termination guarantee itself is broken.
 const asmMaxInstrs = 400_000
 
-// CheckAsmSeed generates the Tier-3 assembly program for seed and drives
+// CheckAsmSeed generates the GenAsm program for seed and drives
 // it through the whole stack: assemble, emulate to halt, architectural
 // replay (emu.Check), static analysis, and the graph oracles over every
 // compiled function CFG.
 func CheckAsmSeed(seed uint64) error {
 	return fail("isa", seed, checkCompiled(GenAsm(seed), fmt.Sprintf("progen tier=isa seed=%d", seed)))
-}
-
-// CheckAsmSource runs the same battery over an arbitrary assembly source —
-// the entry point cmd/progen's minimizer probes candidate reductions with.
-func CheckAsmSource(src string) error { return checkCompiled(src, "standalone") }
-
-// CheckMachineSource runs the scheduler differential over an arbitrary
-// assembly source.
-func CheckMachineSource(src string) error { return checkMachine(src) }
-
-// CheckMiniCSeed generates the Tier-2 MiniC program for seed, predicts
-// main's return value with the independent AST interpreter, compiles the
-// source through internal/cc, and requires the emulated $v0 to match —
-// then reuses the compiled image for the full Tier-3 oracle battery.
-func CheckMiniCSeed(seed uint64) error {
-	return fail("minic", seed, checkMiniC(seed))
-}
-
-func checkMiniC(seed uint64) error {
-	prog := genMiniCProg(newRNG(seed))
-	want, err := prog.interpret()
-	if err != nil {
-		return fmt.Errorf("reference interpreter: %w", err)
-	}
-	p, err := checkMiniCValue(prog.render(), want)
-	if err != nil {
-		return err
-	}
-	// The compiled image is a normal ISA program — run the rest of the
-	// stack's oracles over it too.
-	return checkProgram(p, fmt.Sprintf("progen tier=minic seed=%d", seed))
-}
-
-// checkMiniCValue compiles one MiniC source and requires the emulated
-// main() return value to equal the interpreter's prediction, returning
-// the compiled image for further oracles.
-func checkMiniCValue(src string, want int64) (*isa.Program, error) {
-	p, err := cc.CompileAndAssemble(src)
-	if err != nil {
-		return nil, fmt.Errorf("compiling generated MiniC: %w", err)
-	}
-	m := emu.New(p)
-	for !m.Halted && m.Count < asmMaxInstrs {
-		if err := m.Step(nil); err != nil {
-			return nil, fmt.Errorf("emulating compiled MiniC: %w", err)
-		}
-	}
-	if !m.Halted {
-		return nil, fmt.Errorf("compiled MiniC did not halt within %d instructions", asmMaxInstrs)
-	}
-	if got := m.Regs[isa.V0]; got != want {
-		return nil, fmt.Errorf("compiler vs interpreter: main() returned %d, interpreter says %d", got, want)
-	}
-	return p, nil
 }
 
 // checkCompiled assembles one generated source and runs the
@@ -141,7 +86,7 @@ func checkProgram(p *isa.Program, label string) error {
 	return nil
 }
 
-// CheckMachineSeed generates the Tier-3 program for seed and runs the
+// CheckMachineSeed generates the GenAsm program for seed and runs the
 // trace through both scheduler implementations (event-driven and polled)
 // under every stress configuration, requiring bit-identical Results; the
 // superscalar baseline must additionally retire the whole trace.
@@ -180,7 +125,7 @@ func checkMachine(src string) error {
 	return nil
 }
 
-// CheckAttributionSeed generates the Tier-3 program for seed and checks
+// CheckAttributionSeed generates the GenAsm program for seed and checks
 // that per-spawn-site attribution reconciles exactly with the machine-wide
 // counters on a plain PolyFlow run and again with a warmup prefix — the
 // one path checkSchedPair always zeroes out.

@@ -1,22 +1,18 @@
-// Package progen is the repository's generative verification subsystem: a
-// seeded, deterministic random-program generator with three tiers, plus an
-// oracle layer that cross-checks every independent implementation pair in
-// the tree.
+// Package progen is the repository's generative verification subsystem:
+// seeded, deterministic random-program generators plus an oracle layer
+// that cross-checks every independent implementation pair in the tree.
 //
-// The three tiers:
+// The two generators:
 //
-//   - Tier 1 (GenCFG): arbitrary control flow graphs — structured
-//     (reducible by construction), structured-with-noise-edges, and fully
-//     random (typically irreducible) — for the graph analyses.
-//   - Tier 2 (GenMiniC): random MiniC sources fed through the
-//     internal/cc → internal/asm → internal/isa stack, with a built-in
-//     reference interpreter that predicts main's return value
-//     independently of the compiler.
-//   - Tier 3 (GenAsm): random ISA assembly programs with
-//     guaranteed-terminating loops, acyclic call graphs, and annotated
-//     jump tables, for the emulator and the timing models.
+//   - GenCFG: arbitrary control flow graphs — structured (reducible by
+//     construction), structured-with-noise-edges, and fully random
+//     (typically irreducible) — for the graph analyses.
+//   - GenAsm: random ISA assembly programs with guaranteed-terminating
+//     loops, acyclic call graphs, and annotated jump tables, for the
+//     emulator and the timing models.
 //
-// The oracle matrix (see docs/TESTING.md):
+// Each named tier (the Tiers table) runs one oracle battery over one
+// generator's case for a seed. The oracle matrix (see docs/TESTING.md):
 //
 //	dominators:  dom.Compute (CHK iterative)  vs  dom.ComputeLT (Lengauer-Tarjan)
 //	             vs dom.NaiveDominators (set dataflow), on forward and
@@ -25,8 +21,13 @@
 //	             path-enumeration reference that never looks at a tree
 //	loops:       loops.Find invariants on reducible AND irreducible graphs
 //	emulator:    emu.Check architectural replay of every generated trace
-//	compiler:    cc codegen+fold  vs  progen's direct AST interpreter
 //	scheduler:   event-driven vs polled machine, bit-identical Results
+//	attribution: per-site sums reconcile exactly with the machine counters
+//	spawn mask:  codec round trip, masked scheduler pair, masked sites uncharged
+//
+// testdata/compiled holds a frozen corpus of compiler-generated programs
+// that rides the emulator, image, analysis and graph oracles alongside
+// GenAsm's output (TestCompiledCorpus).
 //
 // Everything is a pure function of the seed: the same seed always
 // regenerates the same bytes (the generator uses its own splitmix64
@@ -64,7 +65,7 @@ func (r *rng) chance(num, den int) bool { return r.intn(den) < num }
 // Failure is an oracle divergence annotated with everything needed to
 // reproduce it: the tier, the generator seed, and the underlying error.
 type Failure struct {
-	Tier string // "cfg", "minic", "isa", "machine"
+	Tier string // the Name of one entry in Tiers
 	Seed uint64
 	Err  error
 }
