@@ -31,9 +31,11 @@
 package asm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/isa"
 )
@@ -59,10 +61,7 @@ type item struct {
 	mnem    string
 	args    []string
 	sec     section
-	codeLen int    // instructions emitted (text section)
 	dataLen int    // bytes emitted (data section)
-	codePos int    // index of first emitted instruction
-	dataPos int    // offset of first emitted byte
 	bytes   []byte // decoded payload (.asciiz), produced during layout
 }
 
@@ -72,6 +71,13 @@ type assembler struct {
 	labels  map[string]uint64
 	funcSet map[string]bool
 	lastJR  int // code index of most recent jr/jalr, for .targets
+
+	// args backs every item's operand slice: operands are subslices of the
+	// source, so a statement costs no allocation of its own.
+	args []string
+	// nLabels counts label and .func statements, sizing the label maps;
+	// nCode and nData are the image sizes layout assigns, sizing emit's.
+	nLabels, nCode, nData int
 }
 
 // Assemble parses and assembles the given source text into a linked
@@ -85,7 +91,6 @@ func Assemble(src string) (*isa.Program, error) {
 			Symbols:     map[uint64]string{},
 			JumpTargets: map[uint64][]uint64{},
 		},
-		labels:  map[string]uint64{},
 		funcSet: map[string]bool{},
 		lastJR:  -1,
 	}
@@ -123,10 +128,18 @@ func (a *assembler) errf(line int, format string, args ...any) error {
 
 // parse splits the source into labeled statements.
 func (a *assembler) parse(src string) error {
+	lines := strings.Count(src, "\n") + 1
+	a.items = make([]item, 0, lines)
+	a.args = make([]string, 0, lines+strings.Count(src, ","))
 	sec := secText
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := stripComment(raw)
-		line = strings.TrimSpace(line)
+	for lineNo := 1; src != ""; lineNo++ {
+		line := src
+		if i := strings.IndexByte(src, '\n'); i >= 0 {
+			line, src = src[:i], src[i+1:]
+		} else {
+			src = ""
+		}
+		line = trim(stripComment(line))
 		for {
 			i := strings.IndexByte(line, ':')
 			if i < 0 {
@@ -134,27 +147,33 @@ func (a *assembler) parse(src string) error {
 			}
 			// Anything before the first ':' that looks like an identifier
 			// is a label; register/memory operands never precede ':'.
-			lbl := strings.TrimSpace(line[:i])
+			lbl := trim(line[:i])
 			if !isIdent(lbl) {
 				break
 			}
-			a.items = append(a.items, item{line: lineNo + 1, mnem: "<label>", args: []string{lbl}, sec: sec})
-			line = strings.TrimSpace(line[i+1:])
+			a.args = append(a.args, lbl)
+			a.items = append(a.items, item{line: lineNo, mnem: "<label>", args: a.args[len(a.args)-1 : len(a.args) : len(a.args)], sec: sec})
+			a.nLabels++
+			line = trim(line[i+1:])
 		}
 		if line == "" {
 			continue
 		}
-		fields := splitOperands(line)
-		mnem := strings.ToLower(fields[0])
-		if mnem == ".text" {
+		lo := len(a.args)
+		var mnem string
+		mnem, a.args = splitOperands(line, a.args)
+		mnem = strings.ToLower(mnem)
+		switch mnem {
+		case ".text":
 			sec = secText
-			continue
-		}
-		if mnem == ".data" {
+		case ".data":
 			sec = secData
-			continue
+		default:
+			if mnem == ".func" {
+				a.nLabels++
+			}
+			a.items = append(a.items, item{line: lineNo, mnem: mnem, args: a.args[lo:len(a.args):len(a.args)], sec: sec})
 		}
-		a.items = append(a.items, item{line: lineNo + 1, mnem: mnem, args: fields[1:], sec: sec})
 	}
 	return nil
 }
@@ -178,9 +197,34 @@ func isIdent(s string) bool {
 	return true
 }
 
+// trim is strings.TrimSpace with a fast path for the ASCII spaces that
+// surround nearly every field of assembly source.
+func trim(s string) string {
+	for len(s) > 0 && asciiSpace(s[0]) {
+		s = s[1:]
+	}
+	for len(s) > 0 && asciiSpace(s[len(s)-1]) {
+		s = s[:len(s)-1]
+	}
+	if len(s) > 0 && (s[0] >= utf8.RuneSelf || s[len(s)-1] >= utf8.RuneSelf) {
+		return strings.TrimSpace(s)
+	}
+	return s
+}
+
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+}
+
 // stripComment removes a '#' comment, ignoring '#' inside string literals
 // (".asciiz \"#1\"" keeps its hash).
 func stripComment(line string) string {
+	if strings.IndexByte(line, '"') < 0 {
+		if i := strings.IndexByte(line, '#'); i >= 0 {
+			return line[:i]
+		}
+		return line
+	}
 	inStr := false
 	for i := 0; i < len(line); i++ {
 		switch c := line[i]; {
@@ -195,45 +239,45 @@ func stripComment(line string) string {
 	return line
 }
 
-// splitOperands splits "op a, b, c" into ["op","a","b","c"], keeping memory
-// operands like "8($sp)" and quoted strings (commas included) intact.
-func splitOperands(line string) []string {
+// splitOperands splits "op a, b, c" into the mnemonic "op" and the
+// operands "a", "b", "c", appended to args as trimmed subslices of line.
+// Memory operands like "8($sp)" and quoted strings (commas included) stay
+// intact; empty operands are dropped.
+func splitOperands(line string, args []string) (string, []string) {
 	i := strings.IndexAny(line, " \t")
 	if i < 0 {
-		return []string{line}
+		return line, args
 	}
-	out := []string{line[:i]}
-	rest := line[i+1:]
-	var cur strings.Builder
-	flush := func() {
-		if f := strings.TrimSpace(cur.String()); f != "" {
-			out = append(out, f)
-		}
-		cur.Reset()
-	}
-	inStr := false
-	for j := 0; j < len(rest); j++ {
-		c := rest[j]
-		switch {
-		case inStr:
-			cur.WriteByte(c)
-			if c == '\\' && j+1 < len(rest) {
-				j++
-				cur.WriteByte(rest[j])
-			} else if c == '"' {
-				inStr = false
+	mnem, rest := line[:i], line[i+1:]
+	if strings.IndexByte(rest, '"') < 0 { // no string literal: every comma splits
+		for {
+			j := strings.IndexByte(rest, ',')
+			if j < 0 {
+				return mnem, appendOperand(args, rest)
 			}
-		case c == '"':
-			inStr = true
-			cur.WriteByte(c)
-		case c == ',':
-			flush()
-		default:
-			cur.WriteByte(c)
+			args, rest = appendOperand(args, rest[:j]), rest[j+1:]
 		}
 	}
-	flush()
-	return out
+	start, inStr := 0, false
+	for j := 0; j < len(rest); j++ {
+		switch c := rest[j]; {
+		case inStr && c == '\\':
+			j++ // skip the escaped byte
+		case c == '"':
+			inStr = !inStr
+		case c == ',' && !inStr:
+			args = appendOperand(args, rest[start:j])
+			start = j + 1
+		}
+	}
+	return mnem, appendOperand(args, rest[start:])
+}
+
+func appendOperand(args []string, f string) []string {
+	if f = trim(f); f != "" {
+		args = append(args, f)
+	}
+	return args
 }
 
 // instCount returns how many instructions a mnemonic expands to.
@@ -247,10 +291,10 @@ func instCount(mnem string) int {
 
 // layout is pass one: assign addresses to every statement and label.
 func (a *assembler) layout() error {
+	a.labels = make(map[string]uint64, a.nLabels)
 	codePos, dataPos := 0, 0
 	for k := range a.items {
 		it := &a.items[k]
-		it.codePos, it.dataPos = codePos, dataPos
 		switch it.mnem {
 		case "<label>":
 			name := it.args[0]
@@ -285,14 +329,14 @@ func (a *assembler) layout() error {
 		case ".targets":
 			// no space
 		case ".space":
-			n, err := strconv.Atoi(strings.TrimSpace(it.args[0]))
+			n, err := strconv.Atoi(trim(it.args[0]))
 			if err != nil || n < 0 {
 				return a.errf(it.line, "bad .space size")
 			}
 			it.dataLen = n
 			dataPos += n
-		case ".word8", ".word": // .word is the native 8-byte cell
-			it.dataLen = 8 * len(it.args)
+		case ".word8", ".word", ".word4", ".byte":
+			it.dataLen = cellWidth(it.mnem) * len(it.args)
 			dataPos += it.dataLen
 		case ".asciiz":
 			if len(it.args) == 0 {
@@ -308,12 +352,6 @@ func (a *assembler) layout() error {
 			}
 			it.dataLen = len(it.bytes)
 			dataPos += it.dataLen
-		case ".word4":
-			it.dataLen = 4 * len(it.args)
-			dataPos += it.dataLen
-		case ".byte":
-			it.dataLen = len(it.args)
-			dataPos += it.dataLen
 		default:
 			if strings.HasPrefix(it.mnem, ".") {
 				return a.errf(it.line, "unknown directive %s", it.mnem)
@@ -321,17 +359,17 @@ func (a *assembler) layout() error {
 			if it.sec != secText {
 				return a.errf(it.line, "instruction in .data section")
 			}
-			it.codeLen = instCount(it.mnem)
-			codePos += it.codeLen
+			codePos += instCount(it.mnem)
 		}
 	}
+	a.nCode, a.nData = codePos, dataPos
 	return nil
 }
 
 // emit is pass two: resolve operands and produce the final image.
 func (a *assembler) emit() error {
-	var code []isa.Inst
-	var data []byte
+	code := make([]isa.Inst, 0, a.nCode)
+	data := make([]byte, 0, a.nData)
 	for k := range a.items {
 		it := &a.items[k]
 		switch it.mnem {
@@ -342,7 +380,7 @@ func (a *assembler) emit() error {
 		case ".asciiz":
 			data = append(data, it.bytes...)
 		case ".word8", ".word", ".word4", ".byte":
-			width := map[string]int{".word8": 8, ".word": 8, ".word4": 4, ".byte": 1}[it.mnem]
+			width := cellWidth(it.mnem)
 			for _, arg := range it.args {
 				v, err := a.value(it, arg)
 				if err != nil {
@@ -351,8 +389,13 @@ func (a *assembler) emit() error {
 				if err := a.checkWidth(it, v, width); err != nil {
 					return err
 				}
-				for b := 0; b < width; b++ {
-					data = append(data, byte(uint64(v)>>(8*b)))
+				switch width {
+				case 8:
+					data = binary.LittleEndian.AppendUint64(data, uint64(v))
+				case 4:
+					data = binary.LittleEndian.AppendUint32(data, uint32(v))
+				default:
+					data = append(data, byte(v))
 				}
 			}
 		case ".targets":
@@ -368,20 +411,21 @@ func (a *assembler) emit() error {
 				a.prog.JumpTargets[pc] = append(a.prog.JumpTargets[pc], uint64(v))
 			}
 		default:
-			insts, err := a.encode(it)
-			if err != nil {
+			n := len(code)
+			var err error
+			if code, err = a.encode(it, code); err != nil {
 				return err
 			}
-			for _, in := range insts {
-				if in.Op == isa.OpJR || in.Op == isa.OpJALR {
-					a.lastJR = len(code)
+			for ; n < len(code); n++ {
+				if code[n].Op == isa.OpJR || code[n].Op == isa.OpJALR {
+					a.lastJR = n
 				}
-				code = append(code, in)
 			}
 		}
 	}
 	a.prog.Code = code
 	a.prog.Data = data
+	a.prog.Symbols = make(map[uint64]string, len(a.labels))
 	for name, addr := range a.labels {
 		if addr >= a.prog.CodeBase && addr < a.prog.CodeBase+uint64(len(code))*isa.InstSize {
 			// Prefer function names over plain labels when both land on
@@ -392,6 +436,17 @@ func (a *assembler) emit() error {
 		}
 	}
 	return nil
+}
+
+// cellWidth is a data directive's cell size in bytes.
+func cellWidth(mnem string) int {
+	switch mnem {
+	case ".word4":
+		return 4
+	case ".byte":
+		return 1
+	}
+	return 8 // .word8 and the native .word
 }
 
 // checkWidth rejects data-cell values that do not fit the directive's
@@ -410,9 +465,16 @@ func (a *assembler) checkWidth(it *item, v int64, width int) error {
 
 // value resolves an integer literal or label reference.
 func (a *assembler) value(it *item, s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	if v, err := strconv.ParseInt(s, 0, 64); err == nil {
+	s = trim(s)
+	if v, ok := smallDecimal(s); ok {
 		return v, nil
+	}
+	// Only a digit or a sign can start an integer literal; testing first
+	// spares every label reference a failed parse and its error value.
+	if s != "" && (s[0] >= '0' && s[0] <= '9' || s[0] == '-' || s[0] == '+') {
+		if v, err := strconv.ParseInt(s, 0, 64); err == nil {
+			return v, nil
+		}
 	}
 	if addr, ok := a.labels[s]; ok {
 		return int64(addr), nil
@@ -420,8 +482,33 @@ func (a *assembler) value(it *item, s string) (int64, error) {
 	return 0, a.errf(it.line, "undefined symbol %q", s)
 }
 
+// smallDecimal parses the common literal, an optionally negative decimal
+// of at most 18 digits without a leading zero, which cannot overflow;
+// anything else is left to strconv.ParseInt.
+func smallDecimal(s string) (int64, bool) {
+	neg := s != "" && s[0] == '-'
+	if neg {
+		s = s[1:]
+	}
+	if s == "" || len(s) > 18 || (s[0] == '0' && len(s) > 1) {
+		return 0, false
+	}
+	var v int64
+	for i := 0; i < len(s); i++ {
+		c := s[i] - '0'
+		if c > 9 {
+			return 0, false
+		}
+		v = 10*v + int64(c)
+	}
+	if neg {
+		v = -v
+	}
+	return v, true
+}
+
 func (a *assembler) reg(it *item, s string) (isa.Reg, error) {
-	s = strings.TrimSpace(s)
+	s = trim(s)
 	if !strings.HasPrefix(s, "$") {
 		return 0, a.errf(it.line, "expected register, got %q", s)
 	}
@@ -434,7 +521,7 @@ func (a *assembler) reg(it *item, s string) (isa.Reg, error) {
 
 // memOperand parses "off($reg)" or "label($reg)".
 func (a *assembler) memOperand(it *item, s string) (int64, isa.Reg, error) {
-	s = strings.TrimSpace(s)
+	s = trim(s)
 	open := strings.IndexByte(s, '(')
 	if open < 0 || !strings.HasSuffix(s, ")") {
 		return 0, 0, a.errf(it.line, "expected mem operand off($reg), got %q", s)
@@ -454,229 +541,153 @@ func (a *assembler) memOperand(it *item, s string) (int64, isa.Reg, error) {
 	return off, r, nil
 }
 
-var aluRegOps = map[string]isa.Op{
-	"add": isa.OpADD, "sub": isa.OpSUB, "and": isa.OpAND, "or": isa.OpOR,
-	"xor": isa.OpXOR, "nor": isa.OpNOR, "slt": isa.OpSLT, "sltu": isa.OpSLTU,
-	"sllv": isa.OpSLLV, "srlv": isa.OpSRLV, "srav": isa.OpSRAV,
-	"mul": isa.OpMUL, "div": isa.OpDIV, "rem": isa.OpREM,
+// form is an instruction mnemonic's operand shape.
+type form uint8
+
+const (
+	formBare      form = iota // no operands checked: nop, halt
+	formNone                  // exactly no operands: syscall, ret
+	formRRR                   // rd, rs, rt
+	formRRI                   // rd, rs, imm
+	formRI                    // rd, imm
+	formRR                    // rd, rs
+	formLoad                  // rd, off(rs)
+	formStore                 // rt, off(rs)
+	formBranch                // rs, rt, target
+	formBranchZ               // rs, target
+	formCmpBranch             // rs, rt, target, through slt $at
+	formJump                  // target
+	formJR                    // rs
+)
+
+// operands is each form's operand count.
+var operands = [...]int{formBare: -1, formNone: 0, formRRR: 3, formRRI: 3, formRI: 2, formRR: 2,
+	formLoad: 2, formStore: 2, formBranch: 3, formBranchZ: 2, formCmpBranch: 3, formJump: 1, formJR: 1}
+
+type mnemonic struct {
+	form form
+	op   isa.Op
 }
 
-var aluImmOps = map[string]isa.Op{
-	"addi": isa.OpADDI, "andi": isa.OpANDI, "ori": isa.OpORI,
-	"xori": isa.OpXORI, "slti": isa.OpSLTI,
-	"sll": isa.OpSLL, "srl": isa.OpSRL, "sra": isa.OpSRA,
+var mnemonics = map[string]mnemonic{
+	"nop": {formBare, isa.OpNOP}, "halt": {formBare, isa.OpHALT}, "syscall": {formNone, isa.OpSYSCALL},
+
+	"add": {formRRR, isa.OpADD}, "sub": {formRRR, isa.OpSUB}, "and": {formRRR, isa.OpAND}, "or": {formRRR, isa.OpOR},
+	"xor": {formRRR, isa.OpXOR}, "nor": {formRRR, isa.OpNOR}, "slt": {formRRR, isa.OpSLT}, "sltu": {formRRR, isa.OpSLTU},
+	"sllv": {formRRR, isa.OpSLLV}, "srlv": {formRRR, isa.OpSRLV}, "srav": {formRRR, isa.OpSRAV},
+	"mul": {formRRR, isa.OpMUL}, "div": {formRRR, isa.OpDIV}, "rem": {formRRR, isa.OpREM},
+
+	"addi": {formRRI, isa.OpADDI}, "andi": {formRRI, isa.OpANDI}, "ori": {formRRI, isa.OpORI},
+	"xori": {formRRI, isa.OpXORI}, "slti": {formRRI, isa.OpSLTI},
+	"sll": {formRRI, isa.OpSLL}, "srl": {formRRI, isa.OpSRL}, "sra": {formRRI, isa.OpSRA},
+
+	"lui": {formRI, isa.OpLUI}, "li": {formRI, isa.OpLI}, "la": {formRI, isa.OpLI},
+
+	// move rd, rs = or rd, rs, $zero; neg rd, rs = sub rd, $zero, rs;
+	// not rd, rs = nor rd, rs, $zero.
+	"move": {formRR, isa.OpOR}, "neg": {formRR, isa.OpSUB}, "not": {formRR, isa.OpNOR},
+
+	"lb": {formLoad, isa.OpLB}, "lbu": {formLoad, isa.OpLBU}, "lh": {formLoad, isa.OpLH},
+	"lw": {formLoad, isa.OpLW}, "ld": {formLoad, isa.OpLD},
+	"sb": {formStore, isa.OpSB}, "sh": {formStore, isa.OpSH}, "sw": {formStore, isa.OpSW}, "sd": {formStore, isa.OpSD},
+
+	"beq": {formBranch, isa.OpBEQ}, "bne": {formBranch, isa.OpBNE},
+	"blez": {formBranchZ, isa.OpBLEZ}, "bgtz": {formBranchZ, isa.OpBGTZ},
+	"bltz": {formBranchZ, isa.OpBLTZ}, "bgez": {formBranchZ, isa.OpBGEZ},
+
+	// The synthesized comparisons name their branch; the slt comes with it.
+	"blt": {formCmpBranch, isa.OpBNE}, "bge": {formCmpBranch, isa.OpBEQ}, "ble": {formCmpBranch, isa.OpBEQ},
+	"bgt": {formCmpBranch, isa.OpBNE}, "bltu": {formCmpBranch, isa.OpBNE}, "bgeu": {formCmpBranch, isa.OpBEQ},
+
+	"j": {formJump, isa.OpJ}, "b": {formJump, isa.OpJ}, "jal": {formJump, isa.OpJAL}, "call": {formJump, isa.OpJAL},
+	"jr": {formJR, isa.OpJR}, "jalr": {formRR, isa.OpJALR}, "ret": {formNone, isa.OpJR},
 }
 
-var loadOps = map[string]isa.Op{
-	"lb": isa.OpLB, "lbu": isa.OpLBU, "lh": isa.OpLH, "lw": isa.OpLW, "ld": isa.OpLD,
+// operandReader resolves one statement's operands in order, keeping the
+// first error.
+type operandReader struct {
+	a   *assembler
+	it  *item
+	err error
 }
 
-var storeOps = map[string]isa.Op{
-	"sb": isa.OpSB, "sh": isa.OpSH, "sw": isa.OpSW, "sd": isa.OpSD,
-}
-
-var branchZeroOps = map[string]isa.Op{
-	"blez": isa.OpBLEZ, "bgtz": isa.OpBGTZ, "bltz": isa.OpBLTZ, "bgez": isa.OpBGEZ,
-}
-
-// encode turns one statement into 1–2 instructions.
-func (a *assembler) encode(it *item) ([]isa.Inst, error) {
-	need := func(n int) error {
-		if len(it.args) != n {
-			return a.errf(it.line, "%s wants %d operands, got %d", it.mnem, n, len(it.args))
-		}
-		return nil
+func (o *operandReader) reg(k int) isa.Reg {
+	if o.err != nil {
+		return 0
 	}
+	r, err := o.a.reg(o.it, o.it.args[k])
+	o.err = err
+	return r
+}
+
+func (o *operandReader) value(k int) int64 {
+	if o.err != nil {
+		return 0
+	}
+	v, err := o.a.value(o.it, o.it.args[k])
+	o.err = err
+	return v
+}
+
+func (o *operandReader) mem(k int) (int64, isa.Reg) {
+	if o.err != nil {
+		return 0, 0
+	}
+	off, r, err := o.a.memOperand(o.it, o.it.args[k])
+	o.err = err
+	return off, r
+}
+
+// encode appends one statement's 1–2 instructions to code.
+func (a *assembler) encode(it *item, code []isa.Inst) ([]isa.Inst, error) {
 	m := it.mnem
-	switch {
-	case m == "nop":
-		return []isa.Inst{{Op: isa.OpNOP}}, nil
-	case m == "halt":
-		return []isa.Inst{{Op: isa.OpHALT}}, nil
-	case m == "syscall":
-		if err := need(0); err != nil {
-			return nil, err
+	mn, ok := mnemonics[m]
+	if !ok {
+		return nil, a.errf(it.line, "unknown mnemonic %q", m)
+	}
+	if n := operands[mn.form]; n >= 0 && len(it.args) != n {
+		return nil, a.errf(it.line, "%s wants %d operands, got %d", m, n, len(it.args))
+	}
+	o := operandReader{a: a, it: it}
+	in := isa.Inst{Op: mn.op}
+	switch mn.form {
+	case formNone:
+		if m == "ret" {
+			in.Rs = isa.RA
 		}
-		return []isa.Inst{{Op: isa.OpSYSCALL}}, nil
-	case aluRegOps[m] != 0:
-		if err := need(3); err != nil {
-			return nil, err
+	case formRRR:
+		in.Rd, in.Rs, in.Rt = o.reg(0), o.reg(1), o.reg(2)
+	case formRRI:
+		in.Rd, in.Rs, in.Imm = o.reg(0), o.reg(1), o.value(2)
+		if o.err == nil && (mn.op == isa.OpSLL || mn.op == isa.OpSRL || mn.op == isa.OpSRA) && (in.Imm < 0 || in.Imm > 63) {
+			return nil, a.errf(it.line, "%s shift amount %d out of range 0..63", m, in.Imm)
 		}
-		rd, err := a.reg(it, it.args[0])
-		if err != nil {
-			return nil, err
+	case formRI:
+		in.Rd, in.Imm = o.reg(0), o.value(1)
+	case formRR:
+		rd, rs := o.reg(0), o.reg(1)
+		switch m {
+		case "move", "not":
+			in.Rd, in.Rs, in.Rt = rd, rs, isa.Zero
+		case "neg":
+			in.Rd, in.Rs, in.Rt = rd, isa.Zero, rs
+		default: // jalr
+			in.Rd, in.Rs = rd, rs
 		}
-		rs, err := a.reg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		rt, err := a.reg(it, it.args[2])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: aluRegOps[m], Rd: rd, Rs: rs, Rt: rt}}, nil
-	case aluImmOps[m] != 0:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		imm, err := a.value(it, it.args[2])
-		if err != nil {
-			return nil, err
-		}
-		if m == "sll" || m == "srl" || m == "sra" {
-			if imm < 0 || imm > 63 {
-				return nil, a.errf(it.line, "%s shift amount %d out of range 0..63", m, imm)
-			}
-		}
-		return []isa.Inst{{Op: aluImmOps[m], Rd: rd, Rs: rs, Imm: imm}}, nil
-	case m == "lui":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		imm, err := a.value(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpLUI, Rd: rd, Imm: imm}}, nil
-	case m == "li" || m == "la":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		imm, err := a.value(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpLI, Rd: rd, Imm: imm}}, nil
-	case m == "move":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpOR, Rd: rd, Rs: rs, Rt: isa.Zero}}, nil
-	case m == "neg":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpSUB, Rd: rd, Rs: isa.Zero, Rt: rs}}, nil
-	case m == "not":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpNOR, Rd: rd, Rs: rs, Rt: isa.Zero}}, nil
-	case loadOps[m] != 0:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		off, rs, err := a.memOperand(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: loadOps[m], Rd: rd, Rs: rs, Imm: off}}, nil
-	case storeOps[m] != 0:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rt, err := a.reg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		off, rs, err := a.memOperand(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: storeOps[m], Rt: rt, Rs: rs, Imm: off}}, nil
-	case m == "beq" || m == "bne":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rt, err := a.reg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		tgt, err := a.value(it, it.args[2])
-		if err != nil {
-			return nil, err
-		}
-		op := isa.OpBEQ
-		if m == "bne" {
-			op = isa.OpBNE
-		}
-		return []isa.Inst{{Op: op, Rs: rs, Rt: rt, Imm: tgt}}, nil
-	case branchZeroOps[m] != 0:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		tgt, err := a.value(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: branchZeroOps[m], Rs: rs, Imm: tgt}}, nil
-	case m == "blt" || m == "bge" || m == "ble" || m == "bgt" || m == "bltu" || m == "bgeu":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rt, err := a.reg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		tgt, err := a.value(it, it.args[2])
-		if err != nil {
-			return nil, err
+	case formLoad:
+		in.Rd = o.reg(0)
+		in.Imm, in.Rs = o.mem(1)
+	case formStore:
+		in.Rt = o.reg(0)
+		in.Imm, in.Rs = o.mem(1)
+	case formBranch:
+		in.Rs, in.Rt, in.Imm = o.reg(0), o.reg(1), o.value(2)
+	case formBranchZ:
+		in.Rs, in.Imm = o.reg(0), o.value(1)
+	case formCmpBranch:
+		rs, rt, tgt := o.reg(0), o.reg(1), o.value(2)
+		if o.err != nil {
+			return nil, o.err
 		}
 		slt := isa.OpSLT
 		if m == "bltu" || m == "bgeu" {
@@ -684,66 +695,19 @@ func (a *assembler) encode(it *item) ([]isa.Inst, error) {
 		}
 		// blt rs,rt: slt at,rs,rt; bne at,zero  |  bge: slt; beq
 		// ble rs,rt: slt at,rt,rs; beq at,zero  |  bgt: slt(rt,rs); bne
-		cmpA, cmpB := rs, rt
-		br := isa.OpBNE
-		switch m {
-		case "bge", "bgeu":
-			br = isa.OpBEQ
-		case "ble":
-			cmpA, cmpB = rt, rs
-			br = isa.OpBEQ
-		case "bgt":
-			cmpA, cmpB = rt, rs
+		if m == "ble" || m == "bgt" {
+			rs, rt = rt, rs
 		}
-		return []isa.Inst{
-			{Op: slt, Rd: isa.AT, Rs: cmpA, Rt: cmpB},
-			{Op: br, Rs: isa.AT, Rt: isa.Zero, Imm: tgt},
-		}, nil
-	case m == "j" || m == "b":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		tgt, err := a.value(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpJ, Imm: tgt}}, nil
-	case m == "jal" || m == "call":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		tgt, err := a.value(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpJAL, Imm: tgt}}, nil
-	case m == "jr":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpJR, Rs: rs}}, nil
-	case m == "jalr":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		rd, err := a.reg(it, it.args[0])
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(it, it.args[1])
-		if err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpJALR, Rd: rd, Rs: rs}}, nil
-	case m == "ret":
-		if err := need(0); err != nil {
-			return nil, err
-		}
-		return []isa.Inst{{Op: isa.OpJR, Rs: isa.RA}}, nil
+		return append(code,
+			isa.Inst{Op: slt, Rd: isa.AT, Rs: rs, Rt: rt},
+			isa.Inst{Op: mn.op, Rs: isa.AT, Rt: isa.Zero, Imm: tgt}), nil
+	case formJump:
+		in.Imm = o.value(0)
+	case formJR:
+		in.Rs = o.reg(0)
 	}
-	return nil, a.errf(it.line, "unknown mnemonic %q", m)
+	if o.err != nil {
+		return nil, o.err
+	}
+	return append(code, in), nil
 }

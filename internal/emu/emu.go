@@ -309,7 +309,11 @@ func (m *Machine) step(out *trace.Entry) error {
 }
 
 // Run executes the program to completion (halt) or to the instruction cap
-// and returns the retired trace.
+// and returns the retired trace. Each step writes its entry straight into
+// the current recording chunk, and the chunks are copied once, at the end,
+// into an exactly sized slice. (Recycling chunks between runs would halve
+// the fresh memory a run touches, but a pool keeps idle chunks reachable
+// through a collection, so the live heap and peak RSS grow by them.)
 func Run(p *isa.Program, cfg Config) (*trace.Trace, error) {
 	max := cfg.MaxInstrs
 	if max <= 0 {
@@ -319,12 +323,11 @@ func Run(p *isa.Program, cfg Config) (*trace.Trace, error) {
 	m.OS = cfg.OS
 	m.Segs = cfg.Segments
 	var log entryLog
-	var e trace.Entry
 	for !m.Halted && m.Count < int64(max) {
-		if err := m.step(&e); err != nil {
+		if err := m.step(log.next()); err != nil {
+			log.drop() // the failed step wrote no entry
 			return log.trace(), err
 		}
-		log.add(e)
 	}
 	tr := log.trace()
 	if !m.Halted {
@@ -336,7 +339,7 @@ func Run(p *isa.Program, cfg Config) (*trace.Trace, error) {
 // logChunk is the entry count of one entryLog chunk (1 MiB of entries).
 const logChunk = 1 << 15
 
-// entryLog collects a run's entries in fixed-size chunks, so recording
+// entryLog records a run's entries in fixed-size chunks, so recording
 // never copies a grown slice; trace copies them once into an exactly sized
 // slice, so the returned trace carries no spare capacity either.
 type entryLog struct {
@@ -344,15 +347,21 @@ type entryLog struct {
 	cur  []trace.Entry
 }
 
-func (l *entryLog) add(e trace.Entry) {
+// next returns the slot for the next entry, which the caller overwrites
+// in full.
+func (l *entryLog) next() *trace.Entry {
 	if len(l.cur) == cap(l.cur) {
 		if l.cur != nil {
 			l.full = append(l.full, l.cur)
 		}
 		l.cur = make([]trace.Entry, 0, logChunk)
 	}
-	l.cur = append(l.cur, e)
+	l.cur = l.cur[:len(l.cur)+1]
+	return &l.cur[len(l.cur)-1]
 }
+
+// drop forgets the entry next last returned.
+func (l *entryLog) drop() { l.cur = l.cur[:len(l.cur)-1] }
 
 // trace assembles the recorded entries.
 func (l *entryLog) trace() *trace.Trace {

@@ -62,6 +62,14 @@ var regNames = [NumRegs]string{
 	"t8", "t9", "k0", "k1", "gp", "sp", "fp", "ra",
 }
 
+var regByName = func() map[string]Reg {
+	m := make(map[string]Reg, NumRegs)
+	for i, n := range regNames {
+		m[n] = Reg(i)
+	}
+	return m
+}()
+
 // String returns the conventional assembly name of the register ("$t0").
 func (r Reg) String() string {
 	if int(r) < len(regNames) {
@@ -73,10 +81,8 @@ func (r Reg) String() string {
 // RegByName maps a conventional name (without the '$') to its register
 // number. Numeric names "r0".."r31" are also accepted.
 func RegByName(name string) (Reg, bool) {
-	for i, n := range regNames {
-		if n == name {
-			return Reg(i), true
-		}
+	if r, ok := regByName[name]; ok {
+		return r, true
 	}
 	var n int
 	if _, err := fmt.Sscanf(name, "r%d", &n); err == nil && n >= 0 && n < NumRegs {

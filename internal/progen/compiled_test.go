@@ -1,6 +1,8 @@
 package progen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/isa"
+	"repro/internal/tracestore"
 )
 
 // TestCompiledCorpus runs the frozen compiler-generated programs in
@@ -62,6 +65,58 @@ func TestCompiledCorpus(t *testing.T) {
 				checkCompiledSpawnKinds(t, p)
 			}
 		})
+	}
+}
+
+var compiledDigestsPath = filepath.Join("testdata", "compiled", "traces.sha256")
+
+// TestCompiledCorpusDigests pins what each corpus program produces, not only
+// main()'s return value (five of the nine record 0 or 1, which many wrong
+// runs also return): one "name retired digest" line per file, giving the
+// retired-instruction count and the SHA-256 of the trace's
+// polyflow-trace/1 encoding, dependences included. Set
+// UPDATE_TRACESTORE_GOLDEN=1 to rewrite the pins — only alongside a
+// deliberate emulator or format change.
+func TestCompiledCorpusDigests(t *testing.T) {
+	files, err := filepath.Glob("testdata/compiled/*.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, path := range files {
+		name := strings.TrimSuffix(filepath.Base(path), ".s")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := asm.Assemble(string(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tr, err := emu.Run(p, emu.Config{MaxInstrs: asmMaxInstrs})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		enc, err := tracestore.Encode(tr, tr.ComputeDeps())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sum := sha256.Sum256(enc)
+		fmt.Fprintf(&got, "%s %d %s\n", name, tr.Len(), hex.EncodeToString(sum[:]))
+	}
+
+	if os.Getenv("UPDATE_TRACESTORE_GOLDEN") != "" {
+		if err := os.WriteFile(compiledDigestsPath, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("compiled-corpus digests regenerated; re-run without UPDATE_TRACESTORE_GOLDEN")
+	}
+	want, err := os.ReadFile(compiledDigestsPath)
+	if err != nil {
+		t.Fatalf("reading pins (regenerate with UPDATE_TRACESTORE_GOLDEN=1): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("compiled-corpus traces differ from the pins:\ngot:\n%swant:\n%s", got.String(), want)
 	}
 }
 

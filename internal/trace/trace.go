@@ -10,6 +10,7 @@ package trace
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/isa"
 )
@@ -68,8 +69,10 @@ func (e *Entry) IsIndirect() bool { return e.Flags&FlagIndirect != 0 }
 type Trace struct {
 	Entries []Entry
 
-	occOnce sync.Once
-	occ     occIndex
+	// occ is the per-PC occurrence index, installed once (built on first
+	// use, or restored from a trace-store artifact) and never replaced.
+	occ   atomic.Pointer[occIndex]
+	occMu sync.Mutex
 }
 
 // occIndex is the per-PC occurrence index, held without Go maps: ids
@@ -93,66 +96,121 @@ func (o *occIndex) list(pc uint64) []int32 {
 	return o.backing[lo:hi:hi]
 }
 
+// buildOccIndex is the repository's one occurrence-list builder. A
+// counting pass numbers the distinct PCs in first-retirement order and
+// sizes their lists, then a fill pass writes every list into one
+// exact-size backing array. Straight-line code retires PCs in the order it
+// first numbered them, so both passes try the id after the previous
+// entry's before probing the hash table.
+func buildOccIndex(entries []Entry) *occIndex {
+	o := &occIndex{}
+	var next []int32 // per PC id: its count, then its next free position
+	id := int32(-1)
+	for i := range entries {
+		pc := entries[i].PC
+		if pcs := o.ids.PCs(); int(id+1) < len(pcs) && pcs[id+1] == pc {
+			id++
+		} else if id = o.ids.ID(pc); int(id) == len(next) {
+			next = append(next, 0)
+		}
+		next[id]++
+	}
+	o.off = make([]int32, len(next)+1)
+	for id, c := range next {
+		o.off[id+1] = o.off[id] + c
+	}
+	copy(next, o.off)
+	o.backing = make([]int32, len(entries))
+	pcs := o.ids.PCs()
+	id = -1
+	for i := range entries {
+		pc := entries[i].PC
+		if int(id+1) < len(pcs) && pcs[id+1] == pc {
+			id++
+		} else {
+			id = o.ids.Lookup(pc)
+		}
+		o.backing[next[id]] = int32(i)
+		next[id]++
+	}
+	return o
+}
+
 // Len returns the number of retired instructions.
 func (t *Trace) Len() int { return len(t.Entries) }
 
-// buildIndex constructs the per-PC occurrence index lazily (goroutine-safe:
-// experiment sweeps simulate one trace concurrently). A counting pass
-// numbers the distinct PCs and sizes their lists, then a fill pass writes
-// every list into one exact-size backing array.
-func (t *Trace) buildIndex() {
-	t.occOnce.Do(func() {
-		var o occIndex
-		var next []int32 // per PC id: its count, then its next free position
-		for i := range t.Entries {
-			id := o.ids.ID(t.Entries[i].PC)
-			if int(id) == len(next) {
-				next = append(next, 0)
-			}
-			next[id]++
-		}
-		o.off = make([]int32, len(next)+1)
-		for id, c := range next {
-			o.off[id+1] = o.off[id] + c
-		}
-		copy(next, o.off)
-		o.backing = make([]int32, len(t.Entries))
-		for i := range t.Entries {
-			id := o.ids.Lookup(t.Entries[i].PC)
-			o.backing[next[id]] = int32(i)
-			next[id]++
-		}
-		t.occ = o
-	})
+// index returns the installed occurrence index, building it on first use
+// (goroutine-safe: experiment sweeps simulate one trace concurrently). It
+// stays small enough to inline into the simulator's NextOccurrence calls.
+func (t *Trace) index() *occIndex {
+	if o := t.occ.Load(); o != nil {
+		return o
+	}
+	return t.buildIndex()
+}
+
+// buildIndex is index's slow path, kept out of line.
+//
+//go:noinline
+func (t *Trace) buildIndex() *occIndex {
+	return t.install(func() *occIndex { return buildOccIndex(t.Entries) })
+}
+
+// install stores build's index unless one is already installed, and
+// returns the installed one.
+func (t *Trace) install(build func() *occIndex) *occIndex {
+	t.occMu.Lock()
+	defer t.occMu.Unlock()
+	if o := t.occ.Load(); o != nil {
+		return o
+	}
+	o := build()
+	t.occ.Store(o)
+	return o
 }
 
 // RestoreIndex installs a precomputed per-PC occurrence index, as decoded
 // from a trace-store artifact (internal/tracestore), so a replayed trace
-// skips the O(n) rebuild. The index comes in flat form: pcs lists the
-// distinct PCs, and the ascending occurrence list of pcs[k] is
-// backing[off[k]:off[k+1]]. The caller must pass exactly the lists
-// buildIndex would derive from Entries. It reports whether the index was
-// installed; false means one was already built (or restored) and the
-// arguments were discarded.
+// skips the O(n) rebuild and a re-encode writes the index it was decoded
+// from. The index comes in the flat form OccurrenceIndex returns: pcs
+// lists the distinct PCs, and the ascending occurrence list of pcs[k] is
+// backing[off[k]:off[k+1]]. The caller must pass exactly the lists the
+// trace's Entries imply, in any PC order (the decoder passes ascending
+// PCs). It reports whether the index was installed; false means one was
+// already built (or restored) and the arguments were discarded.
 func (t *Trace) RestoreIndex(pcs []uint64, off, backing []int32) bool {
 	installed := false
-	t.occOnce.Do(func() {
+	t.install(func() *occIndex {
 		ids := NewPCIndex(len(pcs))
 		for _, pc := range pcs {
 			ids.ID(pc)
 		}
-		t.occ = occIndex{ids: ids, off: off, backing: backing}
 		installed = true
+		return &occIndex{ids: ids, off: off, backing: backing}
 	})
 	return installed
+}
+
+// OccurrenceIndex returns the per-PC occurrence index in flat form: the
+// ascending occurrence list of pcs[k] is backing[off[k]:off[k+1]]. PCs
+// come in the index's own order — as restored (ascending, from a decoded
+// artifact) or as built (first-retirement order). A trace with no index
+// installed yet gets one built for this call only, not installed: a trace
+// that is only serialized does not keep 4 bytes per entry that nothing
+// reads again. The slices must not be modified.
+func (t *Trace) OccurrenceIndex() (pcs []uint64, off, backing []int32) {
+	o := t.occ.Load()
+	if o == nil {
+		o = buildOccIndex(t.Entries)
+	}
+	return o.ids.PCs(), o.off, o.backing
 }
 
 // NextOccurrence returns the smallest trace index > after at which pc
 // retires, or -1 when pc never retires again. This is the oracle the Task
 // Spawn Unit uses to place a spawned task on the correct path.
 func (t *Trace) NextOccurrence(pc uint64, after int) int {
-	t.buildIndex()
-	occ := t.occ.list(pc)
+	occ := t.index().list(pc)
 	lo, hi := 0, len(occ)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -170,8 +228,7 @@ func (t *Trace) NextOccurrence(pc uint64, after int) int {
 
 // Occurrences returns every trace index at which pc retires.
 func (t *Trace) Occurrences(pc uint64) []int32 {
-	t.buildIndex()
-	return t.occ.list(pc)
+	return t.index().list(pc)
 }
 
 // IndirectTargets collects the observed dynamic targets of every indirect

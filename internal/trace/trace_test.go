@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/isa"
@@ -285,5 +288,47 @@ func TestPCIndex(t *testing.T) {
 	}
 	if len(sized.keys) != keys {
 		t.Errorf("NewPCIndex(%d) grew from %d to %d slots", n, keys, len(sized.keys))
+	}
+}
+
+// TestOccurrenceIndexConcurrent: goroutines racing to build, restore and
+// read one trace's index all see the same lists, and exactly one index is
+// installed (run under -race).
+func TestOccurrenceIndexConcurrent(t *testing.T) {
+	const n, pcs = 4000, 29
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i].PC = 0x400000 + 4*uint64((i*7)%pcs)
+	}
+	ref := &Trace{Entries: entries}
+	refPCs, refOff, refBacking := ref.OccurrenceIndex()
+
+	tr := &Trace{Entries: entries}
+	var wg sync.WaitGroup
+	var installed atomic.Int32
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%4 == 0 && tr.RestoreIndex(refPCs, refOff, refBacking) {
+				installed.Add(1)
+			}
+			for p := uint64(0); p < pcs; p++ {
+				pc := 0x400000 + 4*p
+				if got, want := tr.Occurrences(pc), ref.Occurrences(pc); !reflect.DeepEqual(got, want) {
+					t.Errorf("PC %#x: %v, want %v", pc, got, want)
+				}
+			}
+			if pcs, _, backing := tr.OccurrenceIndex(); len(pcs) != len(refPCs) || len(backing) != n {
+				t.Errorf("index holds %d PCs and %d entries, want %d and %d", len(pcs), len(backing), len(refPCs), n)
+			}
+		}()
+	}
+	wg.Wait()
+	if installed.Load() > 1 {
+		t.Errorf("%d restores installed an index", installed.Load())
+	}
+	if tr.RestoreIndex(refPCs, refOff, refBacking) {
+		t.Error("restore after first use installed an index")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -75,10 +76,13 @@ func (r *Reader) parser() *parser {
 
 // Load decodes the whole stream: entries, the occurrence index (installed
 // into the returned Trace, so NextOccurrence skips the rebuild), and the
-// dependence information. Both indexes are cross-validated against the
-// decoded entries, so a successful Load returns exactly what the emulator
-// pipeline would have produced; any inconsistency, truncation, or checksum
-// failure returns an error wrapping ErrCorrupt.
+// dependence information. The occurrence index and every register
+// producer are checked exactly against the decoded entries; memory
+// producers are range-checked only (an exact check would need ComputeDeps'
+// store table). So a successful Load returns exactly the entries, index
+// and register dependences the emulator pipeline would have produced; any
+// inconsistency, truncation, or checksum failure returns an error wrapping
+// ErrCorrupt.
 func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 	p := r.parser()
 	if err := p.header(); err != nil {
@@ -95,13 +99,12 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 	// entry frames' headers avoids both regrowth and slack.
 	entries := make([]trace.Entry, 0, r.entryCount())
 	var occ *occDecoder
-	var deps *trace.Deps
-	depi := 0
-	// Chunking canonicality: the writer emits full entry frames (exactly
+	var deps *depDecoder
+	// Chunking canonicality: Encode emits full entry frames (exactly
 	// chunkEntries) except the last, and flushes occurrence/dependence
 	// frames only at frameTarget, so a section's last frame is the only one
 	// under the threshold. Enforcing that here means every stream that
-	// decodes is exactly the one the writer would emit — the byte-identity
+	// decodes is exactly the one Encode would emit — the byte-identity
 	// invariant FuzzTraceCodec exercises.
 	prevEntryCount := uint64(chunkEntries)
 	occClosed, depsClosed := false, false
@@ -123,7 +126,9 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 				return nil, nil, corruptf("undersized entry frame is not last")
 			}
 			prevEntryCount = count
-			if entries, err = decodeEntries(entries, payload, int(count)); err != nil {
+			lo := len(entries)
+			entries = slices.Grow(entries, int(count))[:lo+int(count)]
+			if err := decodeEntries(entries[lo:], payload); err != nil {
 				return nil, nil, err
 			}
 		case kindOcc:
@@ -138,7 +143,8 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 			}
 			occClosed = len(payload) < frameTarget
 			if occ == nil {
-				occ = newOccDecoder(entries)
+				deps = newDepDecoder(entries)
+				occ = newOccDecoder(entries, deps.d.MemProd)
 			}
 			if err := occ.frame(payload, int(count)); err != nil {
 				return nil, nil, err
@@ -151,11 +157,8 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 				if err := occ.finish(); err != nil {
 					return nil, nil, err
 				}
+				deps.pcs = occ.pcs
 				stage = stDeps
-				deps = &trace.Deps{
-					RegProd: make([][2]int32, len(entries)),
-					MemProd: make([]int32, len(entries)),
-				}
 			}
 			if stage != stDeps {
 				return nil, nil, corruptf("dependence frame out of order")
@@ -164,7 +167,7 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 				return nil, nil, corruptf("dependence frame after the section's final frame")
 			}
 			depsClosed = len(payload) < frameTarget
-			if err := decodeDeps(payload, int(count), entries, deps, &depi); err != nil {
+			if err := deps.frame(payload, int(count)); err != nil {
 				return nil, nil, err
 			}
 		case kindEnd:
@@ -174,8 +177,8 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 			if !depsClosed {
 				return nil, nil, corruptf("dependence section missing its final frame")
 			}
-			if depi != len(entries) {
-				return nil, nil, corruptf("dependence section covers %d of %d entries", depi, len(entries))
+			if deps.i != len(entries) {
+				return nil, nil, corruptf("dependence section covers %d of %d entries", deps.i, len(entries))
 			}
 			if count != uint64(len(entries)) {
 				return nil, nil, corruptf("end frame declares %d entries, decoded %d", count, len(entries))
@@ -191,7 +194,7 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 			}
 			t := &trace.Trace{Entries: entries}
 			t.RestoreIndex(occ.pcs, occ.off, occ.backing)
-			return t, deps, nil
+			return t, &deps.d, nil
 		default:
 			return nil, nil, corruptf("unknown frame kind %#x", kind)
 		}
@@ -382,62 +385,90 @@ func trailing(section string, p []byte, pos int) error {
 	return nil
 }
 
-// decodeEntries parses one entry frame, appending its entries to dst.
-func decodeEntries(dst []trace.Entry, p []byte, count int) ([]trace.Entry, error) {
+// decodeEntries parses one entry frame in place into dst, whose length is
+// the frame's entry count. Each entry is assembled in a local and stored
+// whole.
+func decodeEntries(dst []trace.Entry, p []byte) error {
 	pos := 0
 	var prevPC, prevAddr, u uint64
-	for j := 0; j < count; j++ {
+	for j := range dst {
 		var e trace.Entry
-		e.Flags, pos = byteAt(p, pos)
-		var op byte
-		op, pos = byteAt(p, pos)
-		e.Op = isa.Op(op)
-		u, pos = uvarintAt(p, pos)
-		e.PC = prevPC + uint64(unzigzag(u))
-		prevPC = e.PC
-		u, pos = uvarintAt(p, pos)
-		e.Next = e.PC + isa.InstSize + uint64(unzigzag(u))
-		if e.Flags&(trace.FlagLoad|trace.FlagStore) != 0 {
-			e.MemW, pos = byteAt(p, pos)
+		// The common entry — one-byte PC and next deltas, at least 24
+		// bytes before the frame's end — reads its four leading bytes in
+		// one load and its register tail in another.
+		if len(p)-pos >= 24 && binary.LittleEndian.Uint32(p[pos:])&0x80800000 == 0 {
+			w := binary.LittleEndian.Uint32(p[pos:])
+			e.Flags, e.Op = byte(w), isa.Op(w>>8)
+			e.PC = prevPC + uint64(unzigzag(uint64(w>>16&0x7f)))
+			e.Next = e.PC + isa.InstSize + uint64(unzigzag(uint64(w>>24)))
+			pos += 4
+			if e.Flags&(trace.FlagLoad|trace.FlagStore) != 0 {
+				e.MemW = p[pos]
+				if u, pos = uvarintAt(p, pos+1); bad(p, pos) {
+					return malformed(fmt.Sprintf("entry %d", j))
+				}
+				e.Addr = prevAddr + uint64(unzigzag(u))
+				prevAddr = e.Addr
+			}
+			// The tail is [dst] nsrc [src0 [src1]].
+			t := binary.LittleEndian.Uint32(p[pos:])
+			hasDst := uint32(e.Flags & trace.FlagHasDst) // 0 or 1
+			e.Dst = isa.Reg(t) & -isa.Reg(hasDst)
+			t >>= 8 * hasDst
+			e.NSrc = uint8(t)
+			e.Srcs = [2]isa.Reg{isa.Reg(t>>8) & -isa.Reg((e.NSrc+1)>>1), isa.Reg(t>>16) & -isa.Reg(e.NSrc>>1)}
+			pos += int(hasDst) + 1 + int(e.NSrc)
+		} else {
+			e.Flags, pos = byteAt(p, pos)
+			var op byte
+			op, pos = byteAt(p, pos)
+			e.Op = isa.Op(op)
 			u, pos = uvarintAt(p, pos)
-			e.Addr = prevAddr + uint64(unzigzag(u))
-			prevAddr = e.Addr
-		}
-		var r byte
-		if e.Flags&trace.FlagHasDst != 0 {
-			if r, pos = byteAt(p, pos); r >= isa.NumRegs {
-				return nil, corruptf("entry %d: destination register %d out of range", j, r)
+			e.PC = prevPC + uint64(unzigzag(u))
+			u, pos = uvarintAt(p, pos)
+			e.Next = e.PC + isa.InstSize + uint64(unzigzag(u))
+			if e.Flags&(trace.FlagLoad|trace.FlagStore) != 0 {
+				e.MemW, pos = byteAt(p, pos)
+				u, pos = uvarintAt(p, pos)
+				e.Addr = prevAddr + uint64(unzigzag(u))
+				prevAddr = e.Addr
 			}
-			e.Dst = isa.Reg(r)
-		}
-		if e.NSrc, pos = byteAt(p, pos); e.NSrc > 2 {
-			return nil, corruptf("entry %d: source count %d exceeds 2", j, e.NSrc)
-		}
-		for k := 0; k < int(e.NSrc); k++ {
-			if r, pos = byteAt(p, pos); r >= isa.NumRegs {
-				return nil, corruptf("entry %d: source register %d out of range", j, r)
+			var r byte
+			if e.Flags&trace.FlagHasDst != 0 {
+				r, pos = byteAt(p, pos)
+				e.Dst = isa.Reg(r)
 			}
-			e.Srcs[k] = isa.Reg(r)
+			e.NSrc, pos = byteAt(p, pos)
+			for k := 0; k < min(int(e.NSrc), 2); k++ {
+				r, pos = byteAt(p, pos)
+				e.Srcs[k] = isa.Reg(r)
+			}
+			if bad(p, pos) {
+				return malformed(fmt.Sprintf("entry %d", j))
+			}
 		}
-		if bad(p, pos) {
-			return nil, malformed(fmt.Sprintf("entry %d", j))
+		prevPC = e.PC
+		switch {
+		case e.Dst >= isa.NumRegs:
+			return corruptf("entry %d: destination register %d out of range", j, e.Dst)
+		case e.NSrc > 2:
+			return corruptf("entry %d: source count %d exceeds 2", j, e.NSrc)
+		case e.Srcs[0]|e.Srcs[1] >= isa.NumRegs:
+			return corruptf("entry %d: source register %d out of range", j, max(e.Srcs[0], e.Srcs[1]))
 		}
-		dst = append(dst, e)
+		dst[j] = e
 	}
-	if err := trailing("entry", p, pos); err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return trailing("entry", p, pos)
 }
 
 // occDecoder accumulates the occurrence section across its frames. Each
 // list is checked as it decodes: PCs strictly ascend across frames,
 // indices strictly ascend within a list, are in range, and no index is
 // listed twice. Whether every index's entry really retires at its list's
-// PC is checked in one sequential pass at the section's end (finish),
-// through owner, instead of one random entry access per index. Together
-// with the total-coverage check this forces the decoded index to be
-// exactly canonical.
+// PC is checked through owner in the dependence pass, which visits the
+// entries in order anyway, instead of by one random entry access per
+// index. Together with the coverage check (finish) this forces the decoded
+// index to be exactly canonical.
 type occDecoder struct {
 	entries []trace.Entry
 	// backing holds every list, one index per entry across the section;
@@ -446,18 +477,20 @@ type occDecoder struct {
 	backing []int32
 	off     []int32
 	// owner[i] is 1 + the position in pcs of the list holding index i;
-	// zero means no list has claimed it yet.
+	// zero means no list has claimed it yet. It borrows the dependence
+	// output's MemProd, which the dependence pass reads and then
+	// overwrites entry by entry, so the check costs no memory of its own.
 	owner  []int32
 	pcs    []uint64
 	lastPC uint64
 }
 
-func newOccDecoder(entries []trace.Entry) *occDecoder {
+func newOccDecoder(entries []trace.Entry, owner []int32) *occDecoder {
 	return &occDecoder{
 		entries: entries,
 		backing: make([]int32, 0, len(entries)),
 		off:     []int32{0},
-		owner:   make([]int32, len(entries)),
+		owner:   owner,
 	}
 }
 
@@ -513,54 +546,84 @@ func (o *occDecoder) frame(p []byte, count int) error {
 	return trailing("occurrence", p, pos)
 }
 
-// finish checks the complete section: it covers every entry, and each
-// entry retires at the PC of the list that claims it.
+// finish checks the complete section covers every entry: with no index
+// repeated, each is then claimed exactly once.
 func (o *occDecoder) finish() error {
 	if len(o.backing) != len(o.entries) {
 		return corruptf("occurrence index covers %d of %d entries", len(o.backing), len(o.entries))
 	}
-	for i := range o.entries {
-		// Every index is claimed exactly once (coverage plus no repeats).
-		if pc := o.pcs[o.owner[i]-1]; o.entries[i].PC != pc {
-			return corruptf("occurrence index %d claims PC %#x, entry has %#x", i, pc, o.entries[i].PC)
-		}
-	}
 	return nil
 }
 
-// decodeDeps parses one dependence frame, resuming at entry *depi. Every
-// entry is visited exactly once, so non-loads get their -1 memory producer
-// here.
-func decodeDeps(p []byte, count int, entries []trace.Entry, deps *trace.Deps, depi *int) error {
+// depDecoder accumulates the dependence section across its frames,
+// resuming at entry i. Every register producer must equal the last writer
+// of its source register, tracked in lastReg exactly as trace.ComputeDeps
+// does; memory producers are only range-checked. Every entry is visited
+// exactly once, so it also checks that the entry retires at the PC of the
+// occurrence list claiming it (occDecoder.owner, in MemProd), and gives
+// non-loads their -1 memory producer.
+type depDecoder struct {
+	entries []trace.Entry
+	pcs     []uint64 // the occurrence section's PCs, for the owner check
+	d       trace.Deps
+	i       int
+	lastReg [isa.NumRegs]int32
+}
+
+func newDepDecoder(entries []trace.Entry) *depDecoder {
+	dd := &depDecoder{
+		entries: entries,
+		d: trace.Deps{
+			RegProd: make([][2]int32, len(entries)),
+			MemProd: make([]int32, len(entries)),
+		},
+	}
+	for r := range dd.lastReg {
+		dd.lastReg[r] = -1
+	}
+	return dd
+}
+
+// frame parses one dependence frame.
+func (dd *depDecoder) frame(p []byte, count int) error {
 	pos := 0
 	var u uint64
-	for j := 0; j < count; j++ {
-		i := *depi
-		if i >= len(entries) {
-			return corruptf("dependence section overruns %d entries", len(entries))
+	i := dd.i
+	if count > len(dd.entries)-i {
+		return corruptf("dependence section overruns %d entries", len(dd.entries))
+	}
+	for end := i + count; i < end; i++ {
+		e := &dd.entries[i]
+		if pc := dd.pcs[dd.d.MemProd[i]-1]; e.PC != pc {
+			return corruptf("occurrence index %d claims PC %#x, entry has %#x", i, pc, e.PC)
 		}
-		e := &entries[i]
 		for k := 0; k < int(e.NSrc); k++ {
 			u, pos = uvarintAt(p, pos)
-			prod := int64(i) + unzigzag(u)
-			if prod < -1 || prod >= int64(i) {
-				return corruptf("entry %d: register producer %d out of range", i, prod)
+			prod, want := int64(i)+unzigzag(u), dd.lastReg[e.Srcs[k]]
+			if prod != int64(want) {
+				if bad(p, pos) {
+					return malformed(fmt.Sprintf("dependences of entry %d", i))
+				}
+				return corruptf("entry %d: register producer %d, but %v was last written by %d", i, prod, e.Srcs[k], want)
 			}
-			deps.RegProd[i][k] = int32(prod)
+			dd.d.RegProd[i][k] = want
 		}
-		deps.MemProd[i] = -1
+		dd.d.MemProd[i] = -1
 		if e.Flags&trace.FlagLoad != 0 {
 			u, pos = uvarintAt(p, pos)
 			prod := int64(i) + unzigzag(u)
+			if bad(p, pos) {
+				return malformed(fmt.Sprintf("dependences of entry %d", i))
+			}
 			if prod < -1 || prod >= int64(i) {
 				return corruptf("entry %d: memory producer %d out of range", i, prod)
 			}
-			deps.MemProd[i] = int32(prod)
+			dd.d.MemProd[i] = int32(prod)
 		}
-		if bad(p, pos) {
-			return malformed(fmt.Sprintf("dependences of entry %d", i))
+		if e.Flags&trace.FlagHasDst != 0 {
+			dd.lastReg[e.Dst] = int32(i)
 		}
-		*depi = i + 1
 	}
+	dd.i = i
 	return trailing("dependence", p, pos)
 }

@@ -3,7 +3,6 @@ package tracestore
 import (
 	"bytes"
 	"errors"
-	"io"
 	"reflect"
 	"testing"
 
@@ -161,36 +160,36 @@ func TestUnencodableEntries(t *testing.T) {
 		"src-beyond-nsrc": {PC: 4, Next: 8, NSrc: 1, Srcs: [2]isaReg{1, 2}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			w := NewWriter(io.Discard)
-			if err := w.Append(base); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Append(e); !errors.Is(err, ErrUnencodable) {
+			tr := &trace.Trace{Entries: []trace.Entry{base, e}}
+			d := &trace.Deps{RegProd: make([][2]int32, 2), MemProd: []int32{-1, -1}}
+			if _, err := Encode(tr, d); !errors.Is(err, ErrUnencodable) {
 				t.Fatalf("got %v, want ErrUnencodable", err)
 			}
 		})
 	}
 }
 
-func TestFinishValidatesDeps(t *testing.T) {
+func TestEncodeValidatesDeps(t *testing.T) {
 	tr, _ := synthTrace()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for i := range tr.Entries {
-		if err := w.Append(tr.Entries[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
 	short := &trace.Deps{RegProd: make([][2]int32, 2), MemProd: make([]int32, 2)}
-	if err := w.Finish(short); !errors.Is(err, ErrUnencodable) {
+	if _, err := Encode(tr, short); !errors.Is(err, ErrUnencodable) {
 		t.Fatalf("short deps: got %v, want ErrUnencodable", err)
 	}
+	if _, err := Encode(tr, nil); !errors.Is(err, ErrUnencodable) {
+		t.Fatalf("nil deps: got %v, want ErrUnencodable", err)
+	}
 
-	// Future producer index must be rejected.
-	tr2, d2 := synthTrace()
-	d2.RegProd[1][0] = 5
-	if _, err := Encode(tr2, d2); !errors.Is(err, ErrUnencodable) {
-		t.Fatalf("future producer: got %v, want ErrUnencodable", err)
+	for name, forge := range map[string]func(d *trace.Deps){
+		"future register producer":    func(d *trace.Deps) { d.RegProd[1][0] = 5 },
+		"producer beyond NSrc":        func(d *trace.Deps) { d.RegProd[2][1] = 1 },
+		"future memory producer":      func(d *trace.Deps) { d.MemProd[2] = 3 },
+		"memory producer on non-load": func(d *trace.Deps) { d.MemProd[3] = 0 },
+	} {
+		tr, d := synthTrace()
+		forge(d)
+		if _, err := Encode(tr, d); !errors.Is(err, ErrUnencodable) {
+			t.Errorf("%s: got %v, want ErrUnencodable", name, err)
+		}
 	}
 }
 
@@ -218,9 +217,7 @@ func reframe(t *testing.T, data []byte, kind byte, payload []byte) []byte {
 		out = appendUvarint(out, count)
 		out = appendUvarint(out, uint64(len(pl)))
 		out = append(out, pl...)
-		var crc [4]byte
-		putCRC(crc[:], pl)
-		out = append(out, crc[:]...)
+		out = appendCRC(out, pl)
 	}
 	if !replaced {
 		t.Fatalf("no frame of kind %q", kind)
@@ -262,6 +259,51 @@ func TestForgedOccurrenceIndex(t *testing.T) {
 		"entry not covered":     {{0xff0, 1, 4}, {0x10, 1, 0}, {4, 1, 1}, {4, 1, 2}, {4, 1, 3}},
 	} {
 		if _, _, err := Decode(reframe(t, data, kindOcc, occ(lists...))); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestForgedDependences holds the dependence section's cross-validation
+// against producer lists that pass every checksum: register producers must
+// be exactly each source's last writer, and memory producers must precede
+// their load.
+func TestForgedDependences(t *testing.T) {
+	tr, d := synthTrace()
+	data, err := Encode(tr, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// deps encodes one producer list per entry of synthTrace, each producer
+	// relative to its consumer: register sources first, then a load's
+	// memory producer.
+	deps := func(prods ...[]int64) []byte {
+		var b []byte
+		for i, l := range prods {
+			for _, p := range l {
+				b = appendUvarint(b, zigzag(p-int64(i)))
+			}
+		}
+		return b
+	}
+	canonical := [][]int64{{}, {0, -1}, {1, -1}, {2, 1}, {0}, {}}
+	got, gotDeps, err := Decode(reframe(t, data, kindDeps, deps(canonical...)))
+	if err != nil {
+		t.Fatalf("canonical hand-built dependence frame rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got.Entries, tr.Entries) || !reflect.DeepEqual(gotDeps, d) {
+		t.Fatal("canonical hand-built dependence frame decodes to another trace")
+	}
+	for name, prods := range map[string][][]int64{
+		"register producer is an older writer": {{}, {0, -1}, {1, -1}, {1, 1}, {0}, {}},
+		"register producer predates the trace": {{}, {-1, -1}, {1, -1}, {2, 1}, {0}, {}},
+		"register producer writes no register": {{}, {0, -1}, {1, -1}, {2, 1}, {3}, {}},
+		"register producer writes another reg": {{}, {0, -1}, {0, -1}, {2, 1}, {0}, {}},
+		"register producer is the consumer":    {{}, {1, -1}, {1, -1}, {2, 1}, {0}, {}},
+		"memory producer is the consumer":      {{}, {0, -1}, {1, 2}, {2, 1}, {0}, {}},
+		"memory producer precedes the trace":   {{}, {0, -1}, {1, -2}, {2, 1}, {0}, {}},
+	} {
+		if _, _, err := Decode(reframe(t, data, kindDeps, deps(prods...))); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		}
 	}

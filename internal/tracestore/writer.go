@@ -1,11 +1,11 @@
 package tracestore
 
 import (
-	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -15,289 +15,206 @@ func unencodablef(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrUnencodable, fmt.Sprintf(format, args...))
 }
 
-// Writer streams a trace into the polyflow-trace/1 format: entries are
-// appended one at a time (encoded and flushed in bounded chunks, so writer
-// memory does not hold the encoded stream), and Finish serializes the
-// occurrence index — accumulated incrementally during Append — plus the
-// caller-supplied dependence information and the end frame.
-type Writer struct {
-	w   io.Writer
-	err error
-
-	buf      []byte // payload of the frame being built
-	chunkN   int    // entries in the current 'E' frame
-	n        int    // total entries appended
-	prevPC   uint64
-	prevAddr uint64
-
-	// The occurrence index is built without Go maps: pcs gives each PC a
-	// dense id (in first-retirement order), ids records every entry's PC
-	// id, and Finish counting-sorts the entry indices by id.
-	pcs trace.PCIndex
-	ids []int32
-
-	// meta remembers, per entry, the source count and load bit the deps
-	// section needs at Finish (loadBit<<7 | nsrc).
-	meta []uint8
-
-	finished bool
-}
-
-// NewWriter starts a trace stream on w, writing the format header.
-func NewWriter(w io.Writer) *Writer {
-	tw := &Writer{
-		w:   w,
-		buf: make([]byte, 0, frameTarget+1024),
-	}
-	hdr := append(magic[:], version)
-	if _, err := w.Write(hdr); err != nil {
-		tw.err = err
-	}
-	return tw
-}
-
-// Append encodes one retired entry. It fails with ErrUnencodable when the
-// entry carries state the format would silently drop, so every encoded
-// stream decodes back to exactly the input.
-func (tw *Writer) Append(e trace.Entry) error {
-	if tw.err != nil {
-		return tw.err
-	}
-	if tw.finished {
-		tw.err = fmt.Errorf("tracestore: Append after Finish")
-		return tw.err
-	}
-	isMem := e.IsLoad() || e.IsStore()
-	switch {
-	case !isMem && (e.Addr != 0 || e.MemW != 0):
-		tw.err = unencodablef("entry %d: non-memory op carries Addr=%#x MemW=%d", tw.n, e.Addr, e.MemW)
-	case !e.HasDst() && e.Dst != 0:
-		tw.err = unencodablef("entry %d: no-dst op carries Dst=%d", tw.n, e.Dst)
-	case e.NSrc > 2:
-		tw.err = unencodablef("entry %d: NSrc=%d exceeds 2", tw.n, e.NSrc)
-	case e.NSrc < 2 && e.Srcs[1] != 0, e.NSrc < 1 && e.Srcs[0] != 0:
-		tw.err = unencodablef("entry %d: source register beyond NSrc=%d is set", tw.n, e.NSrc)
-	}
-	if tw.err != nil {
-		return tw.err
-	}
-
-	b := append(tw.buf, e.Flags, uint8(e.Op))
-	b = appendUvarint(b, zigzag(int64(e.PC-tw.prevPC)))
-	b = appendUvarint(b, zigzag(int64(e.Next-(e.PC+isa.InstSize))))
-	tw.prevPC = e.PC
-	if isMem {
-		b = append(b, e.MemW)
-		b = appendUvarint(b, zigzag(int64(e.Addr-tw.prevAddr)))
-		tw.prevAddr = e.Addr
-	}
-	if e.HasDst() {
-		b = append(b, uint8(e.Dst))
-	}
-	b = append(b, e.NSrc)
-	for k := 0; k < int(e.NSrc); k++ {
-		b = append(b, uint8(e.Srcs[k]))
-	}
-	tw.buf = b
-
-	tw.ids = append(tw.ids, tw.pcs.ID(e.PC))
-	m := e.NSrc
-	if e.IsLoad() {
-		m |= 1 << 7
-	}
-	tw.meta = append(tw.meta, m)
-	tw.n++
-	tw.chunkN++
-	if tw.chunkN == chunkEntries {
-		tw.flushEntries()
-	}
-	return tw.err
-}
-
-// Finish writes the occurrence and dependence sections and the end frame.
-// d must be the trace's ComputeDeps product, covering every appended entry.
-func (tw *Writer) Finish(d *trace.Deps) error {
-	if tw.err != nil {
-		return tw.err
-	}
-	if tw.finished {
-		tw.err = fmt.Errorf("tracestore: Finish called twice")
-		return tw.err
-	}
-	tw.finished = true
-	if d == nil || len(d.RegProd) != tw.n || len(d.MemProd) != tw.n {
-		tw.err = unencodablef("deps cover %d entries, trace has %d", depsLen(d), tw.n)
-		return tw.err
-	}
-	tw.flushEntries()
-
-	// Occurrence section: ascending PCs, ascending index lists. Counting
-	// sort by PC id into one backing array, lists laid out in ascending PC
-	// order; one pass over the entries fills each list in index order.
-	byPC := make([]int32, len(tw.pcs.PCs()))
-	for id := range byPC {
-		byPC[id] = int32(id)
-	}
-	sort.Slice(byPC, func(i, j int) bool { return tw.pcs.PCs()[byPC[i]] < tw.pcs.PCs()[byPC[j]] })
-	count := make([]int32, len(byPC))
-	for _, id := range tw.ids {
-		count[id]++
-	}
-	next := make([]int32, len(byPC)) // next free slot of each id's list
-	off := int32(0)
-	for _, id := range byPC {
-		next[id] = off
-		off += count[id]
-	}
-	occ := make([]int32, tw.n)
-	for i, id := range tw.ids {
-		occ[next[id]] = int32(i)
-		next[id]++
-	}
-	framePCs := 0
-	var prevPC uint64
-	for _, id := range byPC {
-		pc := tw.pcs.PCs()[id]
-		if framePCs == 0 {
-			prevPC = 0 // delta state resets at each frame boundary
-		}
-		tw.buf = appendUvarint(tw.buf, pc-prevPC)
-		prevPC = pc
-		idxs := occ[next[id]-count[id] : next[id]]
-		tw.buf = appendUvarint(tw.buf, uint64(len(idxs)))
-		prev := int32(0)
-		for k, ix := range idxs {
-			if k == 0 {
-				tw.buf = appendUvarint(tw.buf, uint64(ix))
-			} else {
-				tw.buf = appendUvarint(tw.buf, uint64(ix-prev))
-			}
-			prev = ix
-		}
-		framePCs++
-		if len(tw.buf) >= frameTarget {
-			tw.emit(kindOcc, uint64(framePCs))
-			framePCs = 0
-		}
-	}
-	tw.emit(kindOcc, uint64(framePCs)) // final (possibly empty) frame
-
-	// Dependence section: producers relative to the consuming index.
-	frameN := 0
-	b := tw.buf
-	for i, m := range tw.meta {
-		nsrc := int(m & 0x7f)
-		reg, mem := d.RegProd[i], d.MemProd[i]
-		for k := 0; k < nsrc; k++ {
-			if reg[k] < -1 || int(reg[k]) >= i {
-				tw.err = unencodablef("entry %d: register producer %d out of range", i, reg[k])
-				return tw.err
-			}
-			b = appendUvarint(b, zigzag(int64(reg[k])-int64(i)))
-		}
-		for k := nsrc; k < 2; k++ {
-			if reg[k] != 0 {
-				tw.err = unencodablef("entry %d: register producer beyond NSrc is set", i)
-				return tw.err
-			}
-		}
-		if m&(1<<7) != 0 {
-			if mem < -1 || int(mem) >= i {
-				tw.err = unencodablef("entry %d: memory producer %d out of range", i, mem)
-				return tw.err
-			}
-			b = appendUvarint(b, zigzag(int64(mem)-int64(i)))
-		} else if mem != -1 {
-			tw.err = unencodablef("entry %d: non-load carries memory producer %d", i, mem)
-			return tw.err
-		}
-		frameN++
-		if len(b) >= frameTarget {
-			tw.buf = b
-			tw.emit(kindDeps, uint64(frameN))
-			if tw.err != nil {
-				return tw.err
-			}
-			b, frameN = tw.buf, 0
-		}
-	}
-	tw.buf = b
-	tw.emit(kindDeps, uint64(frameN)) // final (possibly empty) frame
-
-	tw.emit(kindEnd, uint64(tw.n))
-	return tw.err
-}
-
-// flushEntries emits the current 'E' frame and resets the per-chunk delta
-// state. Empty chunks are skipped: 'E' frames always carry entries.
-func (tw *Writer) flushEntries() {
-	if tw.chunkN == 0 {
-		return
-	}
-	tw.emit(kindEntries, uint64(tw.chunkN))
-	tw.chunkN = 0
-	tw.prevPC = 0
-	tw.prevAddr = 0
-}
-
-// emit frames tw.buf as one kind/count/len/payload/crc record.
-func (tw *Writer) emit(kind byte, count uint64) {
-	if tw.err != nil {
-		return
-	}
-	var hdr [2 * 10]byte
-	h := append(hdr[:0], kind)
-	h = appendUvarint(h, count)
-	h = appendUvarint(h, uint64(len(tw.buf)))
-	if _, err := tw.w.Write(h); err != nil {
-		tw.err = err
-		return
-	}
-	if _, err := tw.w.Write(tw.buf); err != nil {
-		tw.err = err
-		return
-	}
-	var crc [4]byte
-	putCRC(crc[:], tw.buf)
-	if _, err := tw.w.Write(crc[:]); err != nil {
-		tw.err = err
-		return
-	}
-	tw.buf = tw.buf[:0]
-}
-
-func putCRC(dst, payload []byte) {
-	c := crc32.Checksum(payload, crcTable)
-	dst[0] = byte(c)
-	dst[1] = byte(c >> 8)
-	dst[2] = byte(c >> 16)
-	dst[3] = byte(c >> 24)
-}
-
 // encodedBytesPerEntry presizes Encode's output: the seventeen workloads
 // encode to 9.9–11.7 bytes per entry, all three sections included, so one
 // allocation holds the whole stream.
 const encodedBytesPerEntry = 12
 
+// Header room reserved ahead of each frame's payload, which is written
+// straight into the output and framed once it is complete: the kind byte,
+// the count varint (two bytes for a full entry frame's chunkEntries, three
+// for the index sections' item counts) and a three-byte length varint
+// (payloads from 16 KiB to 2 MiB). A frame whose header comes out another
+// size — a section's small last frame — moves its payload once.
+const (
+	entryHeaderRoom = 1 + 2 + 3
+	indexHeaderRoom = 1 + 3 + 3
+)
+
 // Encode serializes a complete trace plus its dependence information to
 // bytes — the payload stored in the artifact cache and served by
-// GET /v1/traces/{bench}.
+// GET /v1/traces/{bench}. Each section is written in one pass straight
+// into the presized output. The occurrence section comes from the trace's
+// own index (restored by a decode, or built by the simulator); a trace
+// without one gets it built by internal/trace for this call only. Encode
+// fails with ErrUnencodable when an entry carries state the format would
+// silently drop, or when d is not a plausible dependence product of t, so
+// every encoded stream decodes back to exactly the input.
 func Encode(t *trace.Trace, d *trace.Deps) ([]byte, error) {
 	n := len(t.Entries)
-	var buf bytes.Buffer
-	buf.Grow(64 + n*encodedBytesPerEntry)
-	w := NewWriter(&buf)
-	w.ids = make([]int32, 0, n)
-	w.meta = make([]uint8, 0, n)
-	for i := range t.Entries {
-		if err := w.Append(t.Entries[i]); err != nil {
-			return nil, err
-		}
+	if d == nil || len(d.RegProd) != n || len(d.MemProd) != n {
+		return nil, unencodablef("deps cover %d entries, trace has %d", depsLen(d), n)
 	}
-	if err := w.Finish(d); err != nil {
+	b := make([]byte, 0, 64+n*encodedBytesPerEntry)
+	b = append(b, magic[:]...)
+	b = append(b, version)
+	b, err := appendEntries(b, t.Entries)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	b = appendOcc(b, t)
+	if b, err = appendDeps(b, t.Entries, d); err != nil {
+		return nil, err
+	}
+	b, start := beginFrame(b, indexHeaderRoom)
+	return endFrame(b, start, indexHeaderRoom, kindEnd, uint64(n)), nil
+}
+
+// beginFrame reserves room header bytes for a frame whose payload the
+// caller then appends; it returns the frame's start offset.
+func beginFrame(b []byte, room int) ([]byte, int) {
+	var zero [indexHeaderRoom]byte
+	return append(b, zero[:room]...), len(b)
+}
+
+// endFrame completes the frame begun at start with room header bytes:
+// it writes kind, count and the payload length into the reserved room
+// (moving the payload when the header needs another size) and appends the
+// payload's checksum.
+func endFrame(b []byte, start, room int, kind byte, count uint64) []byte {
+	plen := len(b) - start - room
+	var h [1 + 2*binary.MaxVarintLen64]byte
+	hdr := append(h[:0], kind)
+	hdr = binary.AppendUvarint(hdr, count)
+	hdr = binary.AppendUvarint(hdr, uint64(plen))
+	if len(hdr) != room {
+		if len(hdr) > room {
+			b = append(b, h[:len(hdr)-room]...)
+		}
+		copy(b[start+len(hdr):], b[start+room:start+room+plen])
+		b = b[:start+len(hdr)+plen]
+	}
+	copy(b[start:], hdr)
+	return appendCRC(b, b[start+len(hdr):])
+}
+
+// appendCRC appends payload's checksum, little-endian.
+func appendCRC(b, payload []byte) []byte {
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, crcTable))
+}
+
+// appendEntries writes the entry frames: chunkEntries entries per frame,
+// the last frame possibly short, no frame for an empty trace.
+func appendEntries(b []byte, entries []trace.Entry) ([]byte, error) {
+	for lo := 0; lo < len(entries); lo += chunkEntries {
+		chunk := entries[lo:min(lo+chunkEntries, len(entries))]
+		var start int
+		b, start = beginFrame(b, entryHeaderRoom)
+		var prevPC, prevAddr uint64
+		for j := range chunk {
+			e := &chunk[j]
+			isMem := e.Flags&(trace.FlagLoad|trace.FlagStore) != 0
+			switch {
+			case !isMem && (e.Addr != 0 || e.MemW != 0):
+				return nil, unencodablef("entry %d: non-memory op carries Addr=%#x MemW=%d", lo+j, e.Addr, e.MemW)
+			case !e.HasDst() && e.Dst != 0:
+				return nil, unencodablef("entry %d: no-dst op carries Dst=%d", lo+j, e.Dst)
+			case e.NSrc > 2:
+				return nil, unencodablef("entry %d: NSrc=%d exceeds 2", lo+j, e.NSrc)
+			case e.NSrc < 2 && e.Srcs[1] != 0, e.NSrc < 1 && e.Srcs[0] != 0:
+				return nil, unencodablef("entry %d: source register beyond NSrc=%d is set", lo+j, e.NSrc)
+			}
+			b = append(b, e.Flags, uint8(e.Op))
+			b = appendUvarint(b, zigzag(int64(e.PC-prevPC)))
+			b = appendUvarint(b, zigzag(int64(e.Next-(e.PC+isa.InstSize))))
+			prevPC = e.PC
+			if isMem {
+				b = append(b, e.MemW)
+				b = appendUvarint(b, zigzag(int64(e.Addr-prevAddr)))
+				prevAddr = e.Addr
+			}
+			if e.HasDst() {
+				b = append(b, uint8(e.Dst))
+			}
+			b = append(b, e.NSrc)
+			switch e.NSrc {
+			case 1:
+				b = append(b, uint8(e.Srcs[0]))
+			case 2:
+				b = append(b, uint8(e.Srcs[0]), uint8(e.Srcs[1]))
+			}
+		}
+		b = endFrame(b, start, entryHeaderRoom, kindEntries, uint64(len(chunk)))
+	}
+	return b, nil
+}
+
+// appendOcc writes the occurrence frames from the trace's index: PCs
+// ascending (a built index numbers them in first-retirement order, so the
+// few thousand PCs are sorted, never the entries), each with its ascending
+// list, a frame closing once its payload reaches frameTarget.
+func appendOcc(b []byte, t *trace.Trace) []byte {
+	pcs, off, backing := t.OccurrenceIndex()
+	order := make([]int32, len(pcs))
+	for id := range order {
+		order[id] = int32(id)
+	}
+	if !slices.IsSorted(pcs) {
+		slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(pcs[x], pcs[y]) })
+	}
+	b, start := beginFrame(b, indexHeaderRoom)
+	framePCs := 0
+	prevPC := uint64(0) // delta state resets at each frame boundary
+	for _, id := range order {
+		pc := pcs[id]
+		list := backing[off[id]:off[id+1]]
+		b = appendUvarint(b, pc-prevPC)
+		b = appendUvarint(b, uint64(len(list)))
+		prev := int32(0) // the first index is absolute
+		for _, ix := range list {
+			b = appendUvarint(b, uint64(ix-prev))
+			prev = ix
+		}
+		prevPC = pc
+		framePCs++
+		if len(b)-start-indexHeaderRoom >= frameTarget {
+			b = endFrame(b, start, indexHeaderRoom, kindOcc, uint64(framePCs))
+			b, start = beginFrame(b, indexHeaderRoom)
+			framePCs, prevPC = 0, 0
+		}
+	}
+	return endFrame(b, start, indexHeaderRoom, kindOcc, uint64(framePCs)) // final (possibly empty) frame
+}
+
+// appendDeps writes the dependence frames: per entry, each register
+// source's producer and (for loads) the memory producer, as zigzag
+// varints relative to the consuming index. It checks what the encoding
+// relies on — producers precede their consumer, and no producer is set
+// where the entry has no such source.
+func appendDeps(b []byte, entries []trace.Entry, d *trace.Deps) ([]byte, error) {
+	b, start := beginFrame(b, indexHeaderRoom)
+	frameN := 0
+	for i := range entries {
+		e := &entries[i]
+		nsrc := int(e.NSrc)
+		reg, mem := &d.RegProd[i], d.MemProd[i]
+		for k := 0; k < nsrc; k++ {
+			if reg[k] < -1 || int(reg[k]) >= i {
+				return nil, unencodablef("entry %d: register producer %d out of range", i, reg[k])
+			}
+			b = appendUvarint(b, zigzag(int64(reg[k])-int64(i)))
+		}
+		for k := nsrc; k < 2; k++ {
+			if reg[k] != 0 {
+				return nil, unencodablef("entry %d: register producer beyond NSrc is set", i)
+			}
+		}
+		if e.IsLoad() {
+			if mem < -1 || int(mem) >= i {
+				return nil, unencodablef("entry %d: memory producer %d out of range", i, mem)
+			}
+			b = appendUvarint(b, zigzag(int64(mem)-int64(i)))
+		} else if mem != -1 {
+			return nil, unencodablef("entry %d: non-load carries memory producer %d", i, mem)
+		}
+		frameN++
+		if len(b)-start-indexHeaderRoom >= frameTarget {
+			b = endFrame(b, start, indexHeaderRoom, kindDeps, uint64(frameN))
+			b, start = beginFrame(b, indexHeaderRoom)
+			frameN = 0
+		}
+	}
+	return endFrame(b, start, indexHeaderRoom, kindDeps, uint64(frameN)), nil // final (possibly empty) frame
 }
 
 func depsLen(d *trace.Deps) int {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/asm"
 	"repro/internal/machine"
 	"repro/internal/tracestore"
 	"repro/internal/workloads"
@@ -126,6 +127,27 @@ func BenchmarkPrepare(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := speculate.Prepare(w.Name, prog, w.MaxInstrs); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAssemble measures assembling all seventeen workloads' sources
+// — the first step of every cold load, hit or miss.
+func BenchmarkAssemble(b *testing.B) {
+	var srcs []string
+	for _, name := range speculate.AllWorkloadNames() {
+		w, ok := workloads.ByName(name)
+		if !ok {
+			b.Fatalf("unknown workload %s", name)
+		}
+		srcs = append(srcs, w.Source)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, src := range srcs {
+			if _, err := asm.Assemble(src); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -139,8 +139,12 @@ var workloadDigestsPath = filepath.Join("testdata", "tracestore", "workloads.sha
 // TestWorkloadTraceDigests extends byte identity beyond the synthetic
 // fixture: every registered workload's emulated trace must encode to the
 // pinned SHA-256 (one "name digest" line per workload) and decode back to
-// the same entries and dependences. Set UPDATE_TRACESTORE_GOLDEN=1 to
-// rewrite the pins — only alongside a deliberate format change.
+// the same entries and dependences. The encoder writes the occurrence
+// section from whatever index the trace carries, so the pins hold for all
+// three sources: none yet (built for the call), one built in
+// first-retirement order (after a NextOccurrence call), and one restored
+// by a decode, PCs ascending. Set UPDATE_TRACESTORE_GOLDEN=1 to rewrite
+// the pins — only alongside a deliberate format change.
 func TestWorkloadTraceDigests(t *testing.T) {
 	var got strings.Builder
 	for _, name := range speculate.AllWorkloadNames() {
@@ -148,7 +152,7 @@ func TestWorkloadTraceDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc, err := b.EncodeTrace()
+		enc, err := tracestore.Encode(&trace.Trace{Entries: b.Trace.Entries}, b.Deps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,6 +168,13 @@ func TestWorkloadTraceDigests(t *testing.T) {
 		}
 		if !reflect.DeepEqual(deps, b.Deps) {
 			t.Errorf("%s: decoded dependences differ from ComputeDeps", name)
+		}
+		built := &trace.Trace{Entries: b.Trace.Entries}
+		built.NextOccurrence(b.Trace.Entries[0].PC, 0)
+		for source, tr := range map[string]*trace.Trace{"decoded": dec, "built": built} {
+			if re, err := tracestore.Encode(tr, deps); err != nil || !bytes.Equal(re, enc) {
+				t.Errorf("%s: encoding with a %s index differs (err %v)", name, source, err)
+			}
 		}
 	}
 
