@@ -23,7 +23,7 @@ var updateAttrib = flag.Bool("update", false, "rewrite golden files")
 // TestAttributionGolden -update .` after an intentional change.
 func TestAttributionGolden(t *testing.T) {
 	// One workload per family: gzip pins the synthetic path, quicksort the
-	// loader + syscall path (its golden gates the CI kernels-smoke job).
+	// syscall path (its golden gates the CI kernels-smoke job).
 	for _, name := range []string{"gzip", "quicksort"} {
 		t.Run(name, func(t *testing.T) {
 			b, err := speculate.Load(name)

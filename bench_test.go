@@ -62,7 +62,7 @@ func BenchmarkFigure9(b *testing.B) { benchSpeedupTable(b, harness.Figure9Opts, 
 func BenchmarkFigure10(b *testing.B) { benchSpeedupTable(b, harness.Figure10Opts, harness.Options{}) }
 
 // BenchmarkKernelsGrid runs the individual-heuristic grid over the kernels
-// workload family — the five loader + syscall programs — reporting the
+// workload family — the five syscall-driven programs — reporting the
 // postdoms-average speedup the same way Figure 9 does for the synthetic
 // twelve.
 func BenchmarkKernelsGrid(b *testing.B) {

@@ -39,7 +39,7 @@ import (
 )
 
 var (
-	format        = flag.String("format", "text", "output format: text, csv, or json (csv/json for figures 5 and 9-12)")
+	format        = flag.String("format", "text", "output format: text, csv (figures 5 and 9-12) or json (figures 9, 10 and 12)")
 	bench         = flag.String("bench", "", "comma-separated benchmark filter (default: all)")
 	family        = flag.String("family", "", `workload family for the grid: "synthetic" (default) or "kernels"`)
 	policy        = flag.String("policy", "", "comma-separated policy filter (default: all)")
@@ -59,6 +59,12 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
 
+	want := func(n int) bool { return *fig == 0 || *fig == n }
+	if err := checkFormat(*format, want); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -72,7 +78,6 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	want := func(n int) bool { return *fig == 0 || *fig == n }
 	o, err := options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -96,6 +101,24 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// checkFormat rejects a -format that some selected figure cannot write,
+// before anything runs: every figure writes text, figures 5 and 9-12
+// write csv (figure 8 stays text), and only 9, 10 and 12 write json.
+func checkFormat(format string, want func(int) bool) error {
+	switch format {
+	case "text", "csv":
+		return nil
+	case "json":
+		for _, n := range []int{5, 8, 11} {
+			if want(n) {
+				return fmt.Errorf("-format json: figure %d has no JSON writer (json covers figures 9, 10 and 12)", n)
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("unknown -format %q (have text, csv, json)", format)
 }
 
 // options assembles the harness Options from the filter flags.

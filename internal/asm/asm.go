@@ -429,8 +429,10 @@ func (a *assembler) emit() error {
 	for name, addr := range a.labels {
 		if addr >= a.prog.CodeBase && addr < a.prog.CodeBase+uint64(len(code))*isa.InstSize {
 			// Prefer function names over plain labels when both land on
-			// the same address.
-			if old, ok := a.prog.Symbols[addr]; !ok || !a.funcSet[old] {
+			// the same address, and between two of a kind the name that
+			// sorts first, so the map's iteration order never decides.
+			old, ok := a.prog.Symbols[addr]
+			if !ok || a.funcSet[name] && !a.funcSet[old] || a.funcSet[name] == a.funcSet[old] && name < old {
 				a.prog.Symbols[addr] = name
 			}
 		}

@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// Segment is one mapped region of the emulated address space. Loader-built
+// Segment is one mapped region of the emulated address space. Kernels-family
 // programs (internal/sysos) attach a segment map so stray accesses fault
 // with context instead of silently reading zeroes from the sparse memory.
 type Segment struct {
@@ -37,7 +37,7 @@ func describeSegments(segs []Segment) string {
 // A nil map means an unrestricted address space (the synthetic workloads
 // lay out their own memory and are not segment-checked). The error carries
 // the faulting PC (with its symbol), the effective address, the access
-// kind/width, and the mapped segments — the context a loader-mapped
+// kind/width, and the mapped segments — the context a segment-mapped
 // program needs to debug a stray pointer.
 func (m *Machine) checkAccess(pc, addr uint64, width int, kind string) error {
 	if m.Segs == nil {

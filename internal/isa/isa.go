@@ -187,10 +187,6 @@ var opNames = [numOps]string{
 	OpNOP: "nop", OpHALT: "halt", OpSYSCALL: "syscall",
 }
 
-// Valid reports whether op is a defined opcode. Image loaders use it to
-// reject malformed encodings.
-func (op Op) Valid() bool { return op > OpInvalid && op < numOps }
-
 // String returns the assembly mnemonic of the opcode.
 func (op Op) String() string {
 	if int(op) < len(opNames) && opNames[op] != "" {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -45,15 +44,3 @@ func NewLogger(w io.Writer, level, format string) (*slog.Logger, error) {
 	}
 	return nil, fmt.Errorf("obs: unknown log format %q (have text, json)", format)
 }
-
-// nopHandler discards everything without formatting anything.
-type nopHandler struct{}
-
-func (nopHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (nopHandler) Handle(context.Context, slog.Record) error { return nil }
-func (h nopHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
-func (h nopHandler) WithGroup(string) slog.Handler           { return h }
-
-// NopLogger returns a logger whose handler is disabled at every level, for
-// call sites that want to drop the nil checks.
-func NopLogger() *slog.Logger { return slog.New(nopHandler{}) }

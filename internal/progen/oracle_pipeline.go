@@ -1,7 +1,6 @@
 package progen
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 
@@ -12,7 +11,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/machine"
-	"repro/internal/sysos"
 	"repro/internal/trace"
 )
 
@@ -50,25 +48,6 @@ func checkProgram(p *isa.Program, label string) error {
 	}
 	if err := emu.CheckLabeled(p, tr, label); err != nil {
 		return err
-	}
-	// The object-image loader is part of the trusted path for the kernels
-	// workload family, so every generated program also rides through it:
-	// the loaded copy must replay the recorded trace, and re-encoding it
-	// must reproduce the image byte-for-byte (the codec's canonical-form
-	// guarantee).
-	img, err := sysos.EncodeImage(p)
-	if err != nil {
-		return fmt.Errorf("encoding image: %w", err)
-	}
-	lp, err := sysos.LoadImage(img)
-	if err != nil {
-		return fmt.Errorf("loading image: %w", err)
-	}
-	if err := emu.CheckLabeled(lp, tr, label+" (loaded image)"); err != nil {
-		return fmt.Errorf("loaded-image replay: %w", err)
-	}
-	if img2, err := sysos.EncodeImage(lp); err != nil || !bytes.Equal(img, img2) {
-		return fmt.Errorf("image round trip is not byte-identical (err %v)", err)
 	}
 	if _, err := core.Analyze(p, tr.IndirectTargets()); err != nil {
 		return fmt.Errorf("analyzing: %w", err)

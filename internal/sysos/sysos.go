@@ -1,16 +1,15 @@
-// Package sysos is the thin operating-system layer under loader-built
-// programs: a deterministic syscall implementation (console I/O over a
-// preloaded stdin, an sbrk heap, exit-with-code) and a multi-section
-// object-image codec (image.go) for the assembler's output.
+// Package sysos is the thin operating-system layer under the kernels
+// workload family: a deterministic syscall implementation (console I/O
+// over a preloaded stdin, an sbrk heap, exit-with-code) and the memory map
+// (data, heap, stack) that its programs run under.
 //
 // Determinism contract: every service is a pure function of the machine
 // state and the OS's own state (stdin cursor, output buffer, heap break),
-// and the OS is seeded entirely from its Config. Two runs of the same
-// program image under the same Config therefore retire byte-identical
-// traces and produce byte-identical output — which is what lets syscall
-// workloads share the artifact cache, the trace store, and every remote
-// run path with the synthetic workloads. See docs/WORKLOADS.md for the
-// full ABI.
+// and the OS is seeded entirely from its stdin. Two runs of the same
+// program over the same stdin therefore retire byte-identical traces and
+// produce byte-identical output — which is what lets syscall workloads
+// share the artifact cache, the trace store, and every remote run path
+// with the synthetic workloads. See docs/WORKLOADS.md for the full ABI.
 package sysos
 
 import (
@@ -34,9 +33,10 @@ const (
 	SysExit2       = 17 // halt with exit code $a0
 )
 
-// Memory-map defaults. The heap sits between the data segment
-// (isa.DefaultDataBase) and the stack, which grows down from
-// isa.DefaultStackTop.
+// The memory map and the OS's limits. The heap sits between the data
+// segment (isa.DefaultDataBase) and the stack, which grows down from
+// isa.DefaultStackTop. Both sbrk and Segments read the heap bounds from
+// here, so the allocator and the memory map cannot disagree.
 const (
 	DefaultHeapBase  uint64 = 0x400000
 	DefaultHeapSize  uint64 = 0x200000 // 2 MiB
@@ -48,21 +48,9 @@ const (
 	maxStringLen = 1 << 16
 )
 
-// Config seeds one OS instance. The zero value is a valid OS with empty
-// stdin and default limits.
-type Config struct {
-	// Stdin is the preloaded input the read syscalls consume.
-	Stdin []byte
-	// MaxOutput caps captured output bytes (0 = DefaultMaxOutput).
-	MaxOutput int
-	// HeapBase/HeapSize bound the sbrk arena (0 = defaults).
-	HeapBase uint64
-	HeapSize uint64
-}
-
 // OS implements emu.SyscallHandler deterministically.
 type OS struct {
-	cfg      Config
+	stdin    []byte
 	in       int // stdin read cursor
 	out      []byte
 	brk      uint64
@@ -70,28 +58,9 @@ type OS struct {
 	exitCode int64
 }
 
-// New returns a fresh OS seeded from cfg.
-func New(cfg Config) *OS {
-	if cfg.MaxOutput == 0 {
-		cfg.MaxOutput = DefaultMaxOutput
-	}
-	if cfg.HeapBase == 0 {
-		cfg.HeapBase = DefaultHeapBase
-	}
-	if cfg.HeapSize == 0 {
-		cfg.HeapSize = DefaultHeapSize
-	}
-	return &OS{cfg: cfg, brk: cfg.HeapBase}
-}
-
-// Reset rewinds the OS to its initial state (stdin cursor, output, heap
-// break), so one instance can serve a fresh replay.
-func (o *OS) Reset() {
-	o.in = 0
-	o.out = o.out[:0]
-	o.brk = o.cfg.HeapBase
-	o.exited = false
-	o.exitCode = 0
+// New returns a fresh OS whose read syscalls consume stdin.
+func New(stdin []byte) *OS {
+	return &OS{stdin: stdin, brk: DefaultHeapBase}
 }
 
 // Output returns the bytes the program printed so far.
@@ -119,7 +88,7 @@ func (o *OS) Syscall(m *emu.Machine) (int64, error) {
 		if a0 < 0 {
 			return 0, fmt.Errorf("sysos: sbrk(%d): negative size", a0)
 		}
-		end := o.cfg.HeapBase + o.cfg.HeapSize
+		end := DefaultHeapBase + DefaultHeapSize
 		if uint64(a0) > end-o.brk {
 			return 0, fmt.Errorf("sysos: sbrk(%d): heap exhausted (break 0x%x, limit 0x%x)", a0, o.brk, end)
 		}
@@ -133,10 +102,10 @@ func (o *OS) Syscall(m *emu.Machine) (int64, error) {
 	case SysPrintChar:
 		return o.emit([]byte{byte(a0)})
 	case SysReadChar:
-		if o.in >= len(o.cfg.Stdin) {
+		if o.in >= len(o.stdin) {
 			return -1, nil
 		}
-		c := o.cfg.Stdin[o.in]
+		c := o.stdin[o.in]
 		o.in++
 		return int64(c), nil
 	case SysExit2:
@@ -150,8 +119,8 @@ func (o *OS) Syscall(m *emu.Machine) (int64, error) {
 // emit appends b to the captured output under the output cap and returns
 // the byte count.
 func (o *OS) emit(b []byte) (int64, error) {
-	if len(o.out)+len(b) > o.cfg.MaxOutput {
-		return 0, fmt.Errorf("sysos: output limit %d bytes exceeded", o.cfg.MaxOutput)
+	if len(o.out)+len(b) > DefaultMaxOutput {
+		return 0, fmt.Errorf("sysos: output limit %d bytes exceeded", DefaultMaxOutput)
 	}
 	o.out = append(o.out, b...)
 	return int64(len(b)), nil
@@ -173,7 +142,7 @@ func (o *OS) cstring(m *emu.Machine, addr uint64) ([]byte, error) {
 // readInt consumes a whitespace-delimited decimal integer (optional '-')
 // from stdin; at EOF, or when the next token has no digits, it returns 0.
 func (o *OS) readInt() int64 {
-	in := o.cfg.Stdin
+	in := o.stdin
 	for o.in < len(in) && isSpace(in[o.in]) {
 		o.in++
 	}
@@ -195,7 +164,7 @@ func (o *OS) readInt() int64 {
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
-// Segments returns the memory map for a loader-built program: its data
+// Segments returns the memory map for a kernels-family program: its data
 // segment, the sbrk heap, and the downward-growing stack. Attached to
 // emu.Config.Segments, stray accesses fault with context (the code
 // segment is enforced separately by instruction fetch).
@@ -215,11 +184,11 @@ type Result struct {
 	Count    int64
 }
 
-// Run executes a program end-to-end under a fresh OS with the standard
-// memory map and returns its captured output — the short path for tests
-// and tools that only want a program's console behavior.
-func Run(p *isa.Program, cfg Config, maxInstrs int) (*Result, error) {
-	os := New(cfg)
+// Run executes a program end-to-end under a fresh OS over stdin with the
+// standard memory map and returns its captured output — the short path
+// for tests that only want a program's console behavior.
+func Run(p *isa.Program, stdin []byte, maxInstrs int) (*Result, error) {
+	os := New(stdin)
 	tr, err := emu.Run(p, emu.Config{MaxInstrs: maxInstrs, OS: os, Segments: Segments(p)})
 	if err != nil {
 		return nil, err

@@ -2,7 +2,7 @@ package sysos
 
 import (
 	"bytes"
-	"reflect"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -45,11 +45,11 @@ greeting: .asciiz "hi: "
 
 func mustAssemble(t *testing.T, src string) *Result {
 	t.Helper()
-	p, err := LoadSource(src)
+	p, err := asm.Assemble(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(p, Config{Stdin: []byte(" 41 ")}, 10_000)
+	res, err := Run(p, []byte(" 41 "), 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRunsAreDeterministic(t *testing.T) {
 }
 
 func TestReadIntEOF(t *testing.T) {
-	p, err := LoadSource(`
+	p, err := asm.Assemble(`
         .func main
 main:   li $v0, 5
         syscall
@@ -88,7 +88,7 @@ main:   li $v0, 5
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(p, Config{}, 1000) // empty stdin
+	res, err := Run(p, nil, 1000) // empty stdin
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,26 +115,84 @@ func TestUnknownSyscallFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(p, Config{}, 100)
+	_, err = Run(p, nil, 100)
 	if err == nil || !strings.Contains(err.Error(), "unknown syscall 999") {
 		t.Fatalf("err = %v, want unknown-syscall fault", err)
 	}
 }
 
+// TestSbrkExhaustionFaults asks for one byte more than the whole heap.
 func TestSbrkExhaustionFaults(t *testing.T) {
-	p, err := asm.Assemble(`
-main:   li $a0, 128
+	p, err := asm.Assemble(fmt.Sprintf(`
+main:   li $a0, %d
         li $v0, 9
         syscall
         halt
+`, DefaultHeapSize+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = emu.Run(p, emu.Config{MaxInstrs: 100, OS: New(nil)})
+	if err == nil || !strings.Contains(err.Error(), "heap exhausted") {
+		t.Fatalf("err = %v, want heap-exhausted fault", err)
+	}
+}
+
+// TestSbrkHeapMatchesSegments holds the allocator and the memory map
+// together: after sbrk hands out the whole heap, its last 8 bytes are
+// mapped under Segments, and the next byte is refused.
+func TestSbrkHeapMatchesSegments(t *testing.T) {
+	p, err := asm.Assemble(fmt.Sprintf(`
+        .func main
+main:   li   $a0, %d
+        li   $v0, 9
+        syscall                 # sbrk(DefaultHeapSize) -> heap base
+        li   $t0, %d
+        add  $s0, $v0, $t0      # the heap's last 8 bytes
+        li   $t1, 7
+        sd   $t1, 0($s0)
+        ld   $a0, 0($s0)
+        li   $v0, 1
+        syscall                 # print_int 7
+        li   $a0, 1
+        li   $v0, 9
+        syscall                 # sbrk(1) past the end
+        halt
+`, DefaultHeapSize, DefaultHeapSize-8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	os := New(nil)
+	_, err = emu.Run(p, emu.Config{MaxInstrs: 100, OS: os, Segments: Segments(p)})
+	if err == nil || !strings.Contains(err.Error(), "heap exhausted") {
+		t.Fatalf("err = %v, want heap-exhausted fault on the last sbrk", err)
+	}
+	if got := string(os.Output()); got != "7" {
+		t.Fatalf("output = %q, want %q from the heap's last word", got, "7")
+	}
+}
+
+// TestOutputLimitFaults prints a 10-digit integer until the captured
+// output would pass DefaultMaxOutput.
+func TestOutputLimitFaults(t *testing.T) {
+	p, err := asm.Assemble(`
+        .func main
+main:   li   $s0, 1000000000
+loop:   move $a0, $s0
+        li   $v0, 1
+        syscall                 # print_int, 10 bytes
+        j    loop
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
-	os := New(Config{HeapBase: DefaultHeapBase, HeapSize: 64})
-	_, err = emu.Run(p, emu.Config{MaxInstrs: 100, OS: os})
-	if err == nil || !strings.Contains(err.Error(), "heap exhausted") {
-		t.Fatalf("err = %v, want heap-exhausted fault", err)
+	os := New(nil)
+	_, err = emu.Run(p, emu.Config{MaxInstrs: 1_000_000, OS: os})
+	if err == nil || !strings.Contains(err.Error(), "output limit") {
+		t.Fatalf("err = %v, want output-limit fault", err)
+	}
+	if got, want := len(os.Output()), DefaultMaxOutput-DefaultMaxOutput%10; got != want {
+		t.Fatalf("captured %d bytes, want %d (every whole print under the cap)", got, want)
 	}
 }
 
@@ -153,7 +211,7 @@ buf:    .space 16
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(p, Config{}, 100)
+	_, err = Run(p, nil, 100)
 	if err == nil {
 		t.Fatal("out-of-segment store succeeded")
 	}
@@ -169,66 +227,5 @@ buf:    .space 16
 		if !strings.Contains(msg, want) {
 			t.Errorf("error %q missing %q", msg, want)
 		}
-	}
-}
-
-func TestImageRoundTrip(t *testing.T) {
-	p, err := asm.Assemble(hello)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exercise a jump-table program too.
-	img, err := EncodeImage(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := LoadImage(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p, p2) {
-		t.Fatalf("round-tripped program differs:\n%+v\n%+v", p, p2)
-	}
-	img2, err := EncodeImage(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(img, img2) {
-		t.Fatal("re-encoded image is not byte-identical")
-	}
-}
-
-func TestLoadImageRejectsMalformed(t *testing.T) {
-	p, err := asm.Assemble(hello)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := EncodeImage(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		mut  func([]byte) []byte
-		want string
-	}{
-		{"empty", func(b []byte) []byte { return nil }, "truncated"},
-		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, "bad magic"},
-		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }, ""},
-		{"flipped byte", func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b }, ""},
-		{"trailing garbage", func(b []byte) []byte { return append(b, 0) }, "trailing"},
-		{"bad checksum", func(b []byte) []byte { b[len(b)-1] ^= 1; return b }, "checksum mismatch"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			mut := tc.mut(bytes.Clone(img))
-			_, err := LoadImage(mut)
-			if err == nil {
-				t.Fatal("malformed image loaded successfully")
-			}
-			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want substring %q", err, tc.want)
-			}
-		})
 	}
 }

@@ -4,7 +4,7 @@
 // whose data is baked into the .data segment by Go generators — these
 // programs read parameters from a preloaded stdin, build their working
 // sets at runtime with an LCG over the sbrk heap, and report results
-// through print syscalls, so every run exercises the loader + OS path
+// through print syscalls, so every run exercises the sysos syscall layer
 // end to end and its console output doubles as a correctness oracle
 // (each kernel's output is pinned against a Go reference implementation
 // in kernels_test.go).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/sysos"
 	"repro/internal/workloads/kernels"
 )
@@ -148,7 +149,7 @@ var oracles = map[string]func() string{
 	},
 }
 
-// TestKernelsMatchOracles runs every kernel through the loader + OS path
+// TestKernelsMatchOracles runs every kernel under the sysos OS and memory map
 // and compares its console output byte-for-byte against the Go reference.
 func TestKernelsMatchOracles(t *testing.T) {
 	for _, k := range kernels.All() {
@@ -157,11 +158,11 @@ func TestKernelsMatchOracles(t *testing.T) {
 			if !ok {
 				t.Fatalf("no oracle for kernel %q", k.Name)
 			}
-			p, err := sysos.LoadSource(k.Source)
+			p, err := asm.Assemble(k.Source)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sysos.Run(p, sysos.Config{Stdin: k.Stdin}, k.MaxInstrs)
+			res, err := sysos.Run(p, k.Stdin, k.MaxInstrs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,15 +187,15 @@ func TestKernelsMatchOracles(t *testing.T) {
 
 func TestKernelRunsAreDeterministic(t *testing.T) {
 	for _, k := range kernels.All() {
-		p, err := sysos.LoadSource(k.Source)
+		p, err := asm.Assemble(k.Source)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := sysos.Run(p, sysos.Config{Stdin: k.Stdin}, k.MaxInstrs)
+		a, err := sysos.Run(p, k.Stdin, k.MaxInstrs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := sysos.Run(p, sysos.Config{Stdin: k.Stdin}, k.MaxInstrs)
+		b, err := sysos.Run(p, k.Stdin, k.MaxInstrs)
 		if err != nil {
 			t.Fatal(err)
 		}

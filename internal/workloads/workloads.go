@@ -41,7 +41,8 @@ import (
 // Workload families. The synthetic family is the paper's twelve
 // SPEC2000int stand-ins with generator-baked data segments; the kernels
 // family (internal/workloads/kernels) is five algorithmic kernels that
-// run over the sysos loader + syscall path with stdin-parameterized data.
+// run over the sysos syscall layer and memory map with stdin-parameterized
+// data.
 const (
 	FamilySynthetic = "synthetic"
 	FamilyKernels   = "kernels"
@@ -60,18 +61,9 @@ type Workload struct {
 	Stdin []byte
 }
 
-// Assemble builds the workload's program image (panicking on error: the
+// Assemble builds the workload's program (panicking on error: the
 // built-in sources are fixtures whose validity is asserted by tests).
-// Kernels-family sources round-trip through the sysos object-image codec,
-// so every run path exercises the loader.
 func (w Workload) Assemble() *isa.Program {
-	if w.Family == FamilyKernels {
-		p, err := sysos.LoadSource(w.Source)
-		if err != nil {
-			panic(fmt.Sprintf("workloads: loading %s: %v", w.Name, err))
-		}
-		return p
-	}
 	return asm.MustAssemble(w.Source)
 }
 
@@ -97,7 +89,7 @@ func (w Workload) NewOS() emu.SyscallHandler {
 	if w.Family != FamilyKernels {
 		return nil
 	}
-	return sysos.New(sysos.Config{Stdin: w.Stdin})
+	return sysos.New(w.Stdin)
 }
 
 // Segments returns the memory map to enforce while emulating the
