@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments                   # all figures, text tables
-//	experiments -fig 9            # a single figure (5, 8, 9, 10, 11, 12)
+//	experiments -fig 9            # a single figure (5, 8, 9, 10, 11, 12; any other is rejected)
 //	experiments -fig 9 -format csv
 //	experiments -fig 12 -format json
 //	experiments -fig 9 -bench twolf -policy postdoms -trace-dir out/
@@ -39,7 +39,7 @@ import (
 )
 
 var (
-	format        = flag.String("format", "text", "output format: text, csv (figures 5 and 9-12) or json (figures 9, 10 and 12)")
+	format        = flag.String("format", "text", "output format: text, csv (every figure) or json (figures 9, 10 and 12)")
 	bench         = flag.String("bench", "", "comma-separated benchmark filter (default: all)")
 	family        = flag.String("family", "", `workload family for the grid: "synthetic" (default) or "kernels"`)
 	policy        = flag.String("policy", "", "comma-separated policy filter (default: all)")
@@ -60,6 +60,10 @@ func main() {
 	flag.Parse()
 
 	want := func(n int) bool { return *fig == 0 || *fig == n }
+	if err := checkFig(*fig); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
 	if err := checkFormat(*format, want); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
@@ -103,9 +107,18 @@ func main() {
 	}
 }
 
+// checkFig rejects a -fig with no driver in run, before anything runs.
+func checkFig(fig int) error {
+	switch fig {
+	case 0, 5, 8, 9, 10, 11, 12:
+		return nil
+	}
+	return fmt.Errorf("-fig %d: no such figure (have 0 for all, 5, 8, 9, 10, 11 and 12)", fig)
+}
+
 // checkFormat rejects a -format that some selected figure cannot write,
-// before anything runs: every figure writes text, figures 5 and 9-12
-// write csv (figure 8 stays text), and only 9, 10 and 12 write json.
+// before anything runs: every figure writes text and csv, and only 9, 10
+// and 12 write json.
 func checkFormat(format string, want func(int) bool) error {
 	switch format {
 	case "text", "csv":
@@ -207,7 +220,13 @@ func run(want func(int) bool, o harness.Options) error {
 		}
 	}
 	if want(8) {
-		fmt.Println(harness.Figure8())
+		if *format == "csv" {
+			if err := harness.WriteFigure8CSV(os.Stdout); err != nil {
+				return err
+			}
+		} else {
+			fmt.Println(harness.Figure8())
+		}
 	}
 	if want(9) {
 		t, err := harness.Figure9Opts(o)

@@ -16,6 +16,7 @@ func TestCheckFormat(t *testing.T) {
 	}{
 		{"text", 0, ""},
 		{"csv", 0, ""},
+		{"csv", 8, ""},
 		{"csv", 9, ""},
 		{"json", 9, ""},
 		{"json", 10, ""},
@@ -34,6 +35,22 @@ func TestCheckFormat(t *testing.T) {
 			t.Errorf("-format %q -fig %d: %v, want accepted", tc.format, tc.fig, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("-format %q -fig %d: err = %v, want %q", tc.format, tc.fig, err, tc.want)
+		}
+	}
+}
+
+func TestCheckFig(t *testing.T) {
+	for fig := -1; fig <= 13; fig++ {
+		err := checkFig(fig)
+		switch fig {
+		case 0, 5, 8, 9, 10, 11, 12:
+			if err != nil {
+				t.Errorf("-fig %d: %v, want accepted", fig, err)
+			}
+		default:
+			if err == nil || !strings.Contains(err.Error(), "5, 8, 9, 10, 11 and 12") {
+				t.Errorf("-fig %d: err = %v, want a rejection listing the figures", fig, err)
+			}
 		}
 	}
 }

@@ -39,6 +39,9 @@ func CheckOS(p *isa.Program, tr *trace.Trace, os SyscallHandler) error {
 			return fmt.Errorf("emu: check: divergence at entry %d: trace %+v, architectural %+v", i, *want, got)
 		}
 	}
+	if len(tr.Entries) > 0 && tr.End != m.PC {
+		return fmt.Errorf("emu: check: trace ends at PC %#x, architectural %#x", tr.End, m.PC)
+	}
 	// Every provided entry matched; a trace produced under an instruction
 	// cap is a verified prefix of the architectural execution.
 	return nil

@@ -46,7 +46,7 @@ type Machine struct {
 	Prog   *isa.Program
 	Regs   [isa.NumRegs]int64
 	Mem    *Memory
-	PC     uint64
+	PC     uint64 // the next instruction; a halted machine stays at its halting one
 	Halted bool
 	Count  int64 // retired instructions
 	// OS services syscall instructions; nil faults on OpSYSCALL.
@@ -96,8 +96,9 @@ func staticEntries(p *isa.Program) []trace.Entry {
 }
 
 // Step executes one instruction and appends its trace entry to tr (when tr
-// is non-nil). It returns an error on architectural faults: executing
-// outside the code segment or unknown opcodes.
+// is non-nil), setting tr.End to the PC after it. It returns an error on
+// architectural faults: executing outside the code segment or unknown
+// opcodes.
 func (m *Machine) Step(tr *trace.Trace) error {
 	if tr == nil || m.Halted {
 		return m.step(nil)
@@ -107,6 +108,7 @@ func (m *Machine) Step(tr *trace.Trace) error {
 		return err
 	}
 	tr.Entries = append(tr.Entries, e)
+	tr.End = m.PC
 	return nil
 }
 
@@ -295,25 +297,23 @@ func (m *Machine) step(out *trace.Entry) error {
 	}
 
 	if out != nil {
-		if m.Halted {
-			e.Next = pc
-		} else {
-			e.Next = next
-		}
 		*out = e
 	}
-
+	if m.Halted {
+		next = pc // a halted machine stays at its halting instruction
+	}
 	m.PC = next
 	m.Count++
 	return nil
 }
 
 // Run executes the program to completion (halt) or to the instruction cap
-// and returns the retired trace. Each step writes its entry straight into
-// the current recording chunk, and the chunks are copied once, at the end,
-// into an exactly sized slice. (Recycling chunks between runs would halve
-// the fresh memory a run touches, but a pool keeps idle chunks reachable
-// through a collection, so the live heap and peak RSS grow by them.)
+// and returns the retired trace, its End set on every path, the error path
+// included. Each step writes its entry straight into the current recording
+// chunk, and the chunks are copied once, at the end, into an exactly sized
+// slice. (Recycling chunks between runs would halve the fresh memory a run
+// touches, but a pool keeps idle chunks reachable through a collection, so
+// the live heap and peak RSS grow by them.)
 func Run(p *isa.Program, cfg Config) (*trace.Trace, error) {
 	max := cfg.MaxInstrs
 	if max <= 0 {
@@ -325,18 +325,18 @@ func Run(p *isa.Program, cfg Config) (*trace.Trace, error) {
 	var log entryLog
 	for !m.Halted && m.Count < int64(max) {
 		if err := m.step(log.next()); err != nil {
-			log.drop() // the failed step wrote no entry
-			return log.trace(), err
+			log.drop() // the failed step wrote no entry and left m.PC at it
+			return log.trace(m.PC), err
 		}
 	}
-	tr := log.trace()
+	tr := log.trace(m.PC)
 	if !m.Halted {
 		return tr, fmt.Errorf("emu: instruction cap %d reached without halt (PC 0x%x)", max, m.PC)
 	}
 	return tr, nil
 }
 
-// logChunk is the entry count of one entryLog chunk (1 MiB of entries).
+// logChunk is the entry count of one entryLog chunk (768 KiB of entries).
 const logChunk = 1 << 15
 
 // entryLog records a run's entries in fixed-size chunks, so recording
@@ -363,8 +363,8 @@ func (l *entryLog) next() *trace.Entry {
 // drop forgets the entry next last returned.
 func (l *entryLog) drop() { l.cur = l.cur[:len(l.cur)-1] }
 
-// trace assembles the recorded entries.
-func (l *entryLog) trace() *trace.Trace {
+// trace assembles the recorded entries into a trace ending at end.
+func (l *entryLog) trace(end uint64) *trace.Trace {
 	n := len(l.cur)
 	for _, c := range l.full {
 		n += len(c)
@@ -373,7 +373,7 @@ func (l *entryLog) trace() *trace.Trace {
 	for _, c := range l.full {
 		entries = append(entries, c...)
 	}
-	return &trace.Trace{Entries: append(entries, l.cur...)}
+	return &trace.Trace{Entries: append(entries, l.cur...), End: end}
 }
 
 func b2i(b bool) int64 {

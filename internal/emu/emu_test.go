@@ -232,8 +232,8 @@ loop:   addi $t0, $t0, -1
 	if !b1.IsCondBranch() || !b1.Taken() {
 		t.Fatalf("first branch not recorded as taken")
 	}
-	if b1.Next != tr.Entries[1].PC {
-		t.Fatalf("taken branch Next wrong")
+	if tr.NextPC(2) != tr.Entries[1].PC {
+		t.Fatalf("taken branch next PC wrong")
 	}
 	b2 := &tr.Entries[4]
 	if !b2.IsCondBranch() || b2.Taken() {
@@ -253,16 +253,24 @@ func TestRunErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(p, Config{}); err == nil {
+	tr, err := Run(p, Config{})
+	if err == nil {
 		t.Fatalf("running off the code segment must error")
+	}
+	if want := p.CodeBase + isa.InstSize; tr.Len() != 1 || tr.End != want {
+		t.Fatalf("faulting run: %d entries ending at %#x, want 1 ending at %#x", tr.Len(), tr.End, want)
 	}
 
 	p2, err := asm.Assemble("loop: j loop\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(p2, Config{MaxInstrs: 100}); err == nil {
+	tr, err = Run(p2, Config{MaxInstrs: 100})
+	if err == nil {
 		t.Fatalf("instruction cap must error without halt")
+	}
+	if tr.Len() != 100 || tr.End != p2.CodeBase {
+		t.Fatalf("capped run: %d entries ending at %#x, want 100 ending at %#x", tr.Len(), tr.End, p2.CodeBase)
 	}
 }
 
@@ -431,6 +439,40 @@ loop:   addi $t9, $t9, -1
 	}
 	if err := Check(p, tr); err == nil {
 		t.Fatalf("architectural check accepted a corrupted trace")
+	}
+}
+
+// TestCheckDetectsWrongEnd: the PC after the last entry is checked like
+// any entry's, on a halted run and on a capped prefix.
+func TestCheckDetectsWrongEnd(t *testing.T) {
+	p, err := asm.Assemble(`
+        li   $t9, 20
+loop:   addi $t9, $t9, -1
+        bgtz $t9, loop
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halted, err := Run(p, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := halted.Entries[halted.Len()-1]; halted.End != last.PC {
+		t.Fatalf("halted run ends at %#x, want the halting PC %#x", halted.End, last.PC)
+	}
+	capped, err := Run(p, Config{MaxInstrs: 5})
+	if err == nil {
+		t.Fatal("capped run did not report the cap")
+	}
+	for name, tr := range map[string]*trace.Trace{"halted": halted, "capped": capped} {
+		if err := Check(p, tr); err != nil {
+			t.Fatalf("%s: architectural check rejected a genuine trace: %v", name, err)
+		}
+		tr.End += isa.InstSize
+		if err := Check(p, tr); err == nil {
+			t.Fatalf("%s: architectural check accepted a trace with End altered", name)
+		}
 	}
 }
 

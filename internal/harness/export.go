@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"strconv"
+
+	"repro/internal/machine"
 )
 
 // WriteCSV emits a speedup table as CSV: one row per benchmark, one column
@@ -108,6 +110,22 @@ func WriteFigure5CSV(w io.Writer, rows []Fig5Row) error {
 			rec = append(rec, strconv.Itoa(v))
 		}
 		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// WriteFigure8CSV emits the Figure 8 pipeline parameters as
+// parameter,value rows, the rows Figure8 prints.
+func WriteFigure8CSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"parameter", "value"}); err != nil {
+		return err
+	}
+	for _, r := range machine.PolyFlowConfig().Parameters() {
+		if err := cw.Write(r[:]); err != nil {
 			return err
 		}
 	}

@@ -103,3 +103,28 @@ func TestFigure5CSV(t *testing.T) {
 		t.Fatalf("figure 5 csv wrong:\n%s", got)
 	}
 }
+
+// TestFigure8CSV: the CSV parses, and holds the header plus exactly the
+// rows the text table prints, values with commas quoted intact.
+func TestFigure8CSV(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFigure8CSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatalf("figure 8 csv does not parse: %v", err)
+	}
+	lines := strings.Split(strings.TrimSpace(Figure8()), "\n")[2:] // title, header
+	if len(recs) != 1+len(lines) || recs[0][0] != "parameter" || recs[0][1] != "value" {
+		t.Fatalf("figure 8 csv: %d records, want header plus %d rows: %v", len(recs), len(lines), recs)
+	}
+	for i, line := range lines {
+		if r := recs[1+i]; !strings.HasPrefix(line, r[0]) || !strings.HasSuffix(line, r[1]) {
+			t.Errorf("csv row %d = %q, text row %q", i, r, line)
+		}
+	}
+	if r := recs[4]; r[0] != "Reorder Buffer" || r[1] != "512 entries, dynamically shared" {
+		t.Errorf("Reorder Buffer row = %q", r)
+	}
+}

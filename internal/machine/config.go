@@ -200,22 +200,31 @@ func SuperscalarConfig() Config {
 	return c
 }
 
+// Parameters returns the Figure 8 pipeline parameters as (parameter,
+// value) rows, in table order.
+func (c Config) Parameters() [][2]string {
+	return [][2]string{
+		{"Pipeline Width", fmt.Sprintf("%d instrs/cycle", c.Width)},
+		{"Branch Predictor", fmt.Sprintf("%dKbit gshare, %d bits of global history",
+			(1<<c.GshareLog2)*2/1024, c.GshareHistBits)},
+		{"Misprediction Penalty", fmt.Sprintf("At least %d cycles", c.FrontEndDepth+2)},
+		{"Reorder Buffer", fmt.Sprintf("%d entries, dynamically shared", c.ROBSize)},
+		{"Scheduler", fmt.Sprintf("%d entries, dynamically shared", c.SchedSize)},
+		{"Functional Units", fmt.Sprintf("%d identical general purpose units", c.NumFUs)},
+		{"L1 I-Cache", "8Kbytes, 2-way set assoc., 128 byte lines, 10 cycle miss"},
+		{"L1 D-Cache", "16Kbytes, 4-way set assoc., 64 byte lines, 10 cycle miss"},
+		{"L2 Cache", "512Kbytes, 8-way set assoc., 128 byte lines, 100 cycle miss"},
+		{"Divert Queue", fmt.Sprintf("%d entries, dynamically shared", c.DivertQSize)},
+		{"Tasks", fmt.Sprintf("%d", c.MaxTasks)},
+	}
+}
+
 // ParameterTable renders the Figure 8 pipeline-parameter table.
 func (c Config) ParameterTable() string {
 	var b strings.Builder
-	row := func(k, v string) { fmt.Fprintf(&b, "%-24s %s\n", k, v) }
-	row("Parameter", "Value")
-	row("Pipeline Width", fmt.Sprintf("%d instrs/cycle", c.Width))
-	row("Branch Predictor", fmt.Sprintf("%dKbit gshare, %d bits of global history",
-		(1<<c.GshareLog2)*2/1024, c.GshareHistBits))
-	row("Misprediction Penalty", fmt.Sprintf("At least %d cycles", c.FrontEndDepth+2))
-	row("Reorder Buffer", fmt.Sprintf("%d entries, dynamically shared", c.ROBSize))
-	row("Scheduler", fmt.Sprintf("%d entries, dynamically shared", c.SchedSize))
-	row("Functional Units", fmt.Sprintf("%d identical general purpose units", c.NumFUs))
-	row("L1 I-Cache", "8Kbytes, 2-way set assoc., 128 byte lines, 10 cycle miss")
-	row("L1 D-Cache", "16Kbytes, 4-way set assoc., 64 byte lines, 10 cycle miss")
-	row("L2 Cache", "512Kbytes, 8-way set assoc., 128 byte lines, 100 cycle miss")
-	row("Divert Queue", fmt.Sprintf("%d entries, dynamically shared", c.DivertQSize))
-	row("Tasks", fmt.Sprintf("%d", c.MaxTasks))
+	fmt.Fprintf(&b, "%-24s %s\n", "Parameter", "Value")
+	for _, r := range c.Parameters() {
+		fmt.Fprintf(&b, "%-24s %s\n", r[0], r[1])
+	}
 	return b.String()
 }

@@ -546,12 +546,12 @@ func (s *sim) warmup(w int) {
 		case e.IsCall():
 			t.ras.Push(e.PC + isa.InstSize)
 			if e.IsIndirect() {
-				s.btb.Update(e.PC, e.Next)
+				s.btb.Update(e.PC, s.t.NextPC(i))
 			}
 		case e.IsReturn():
 			t.ras.Pop()
 		case e.IsIndirect():
-			s.btb.Update(e.PC, e.Next)
+			s.btb.Update(e.PC, s.t.NextPC(i))
 		}
 		if e.IsLoad() || e.IsStore() {
 			s.caches.L1D.Access(e.Addr)
@@ -999,7 +999,7 @@ func (s *sim) fetchTask(t *task, bw int) {
 			stop = true
 		case e.IsReturn():
 			pred, ok := t.ras.Pop()
-			if !ok || pred != e.Next {
+			if !ok || pred != s.t.NextPC(i) {
 				s.stats.Mispredicts++
 				if s.tel != nil {
 					s.emit(telemetry.EvMispredict, t.id, int64(i), int64(e.PC))
@@ -1022,8 +1022,9 @@ func (s *sim) fetchTask(t *task, bw int) {
 
 func (s *sim) predictIndirect(t *task, i int, e *trace.Entry) {
 	pred, ok := s.btb.Predict(e.PC)
-	s.btb.Update(e.PC, e.Next)
-	if !ok || pred != e.Next {
+	next := s.t.NextPC(i)
+	s.btb.Update(e.PC, next)
+	if !ok || pred != next {
 		s.stats.Mispredicts++
 		if s.tel != nil {
 			s.emit(telemetry.EvMispredict, t.id, int64(i), int64(e.PC))

@@ -15,10 +15,10 @@ import (
 	"repro/internal/isa"
 )
 
-// Entry is one retired instruction.
+// Entry is one retired instruction. The PC retired after it is the next
+// entry's PC (Trace.NextPC), so an entry does not repeat it.
 type Entry struct {
 	PC    uint64
-	Next  uint64 // PC of the next retired instruction
 	Addr  uint64 // effective address for loads/stores
 	Op    isa.Op
 	Dst   isa.Reg // valid when HasDst
@@ -68,6 +68,9 @@ func (e *Entry) IsIndirect() bool { return e.Flags&FlagIndirect != 0 }
 // Trace is the full retired instruction stream of one program run.
 type Trace struct {
 	Entries []Entry
+	// End is the PC after the last entry: the halting PC of a run that
+	// halted, otherwise the PC of the instruction that did not retire.
+	End uint64
 
 	// occ is the per-PC occurrence index, installed once (built on first
 	// use, or restored from a trace-store artifact) and never replaced.
@@ -138,6 +141,15 @@ func buildOccIndex(entries []Entry) *occIndex {
 
 // Len returns the number of retired instructions.
 func (t *Trace) Len() int { return len(t.Entries) }
+
+// NextPC returns the PC retired after entry i: the next entry's PC, or End
+// after the last entry.
+func (t *Trace) NextPC(i int) uint64 {
+	if i+1 < len(t.Entries) {
+		return t.Entries[i+1].PC
+	}
+	return t.End
+}
 
 // index returns the installed occurrence index, building it on first use
 // (goroutine-safe: experiment sweeps simulate one trace concurrently). It
@@ -247,7 +259,7 @@ func (t *Trace) IndirectTargets() map[uint64][]uint64 {
 			m = map[uint64]bool{}
 			seen[e.PC] = m
 		}
-		m[e.Next] = true
+		m[t.NextPC(i)] = true
 	}
 	out := make(map[uint64][]uint64, len(seen))
 	for pc, m := range seen {

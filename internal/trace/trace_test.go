@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/isa"
 )
@@ -29,12 +30,20 @@ func store(pc, addr uint64, w uint8, val, base isa.Reg) Entry {
 		Srcs: [2]isa.Reg{base, val}, NSrc: 2, Flags: FlagStore}
 }
 
-func branch(pc uint64, taken bool, next uint64) Entry {
-	e := Entry{PC: pc, Op: isa.OpBNE, Next: next, Flags: FlagCondBranch}
+func branch(pc uint64, taken bool) Entry {
+	e := Entry{PC: pc, Op: isa.OpBNE, Flags: FlagCondBranch}
 	if taken {
 		e.Flags |= FlagTaken
 	}
 	return e
+}
+
+// TestEntrySize pins the entry layout: two 8-byte words and seven bytes,
+// with no next-PC field (the next entry holds it).
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 24 {
+		t.Fatalf("sizeof(Entry) = %d, want 24", got)
+	}
 }
 
 func TestFlags(t *testing.T) {
@@ -124,10 +133,10 @@ func TestMemoryDeps(t *testing.T) {
 
 func TestBranchProfiles(t *testing.T) {
 	tr := &Trace{Entries: []Entry{
-		branch(0x100, true, 0x200),
-		branch(0x100, false, 0x104),
-		branch(0x100, true, 0x200),
-		branch(0x104, false, 0x108),
+		branch(0x100, true),
+		branch(0x100, false),
+		branch(0x100, true),
+		branch(0x104, false),
 	}}
 	p := tr.BranchProfiles()
 	if p[0x100].Executed != 3 || p[0x100].Taken != 2 {
@@ -139,19 +148,19 @@ func TestBranchProfiles(t *testing.T) {
 }
 
 func TestIndirectTargets(t *testing.T) {
-	jr := Entry{PC: 0x100, Op: isa.OpJR, Next: 0x300, Flags: FlagIndirect}
-	jr2 := jr
-	jr2.Next = 0x200
-	ret := Entry{PC: 0x104, Op: isa.OpJR, Next: 0x400, Flags: FlagIndirect | FlagReturn}
-	tr := &Trace{Entries: []Entry{jr, jr2, jr, ret}}
+	// Each jump's target is the entry retired after it; the final
+	// return's is End.
+	jr := Entry{PC: 0x100, Op: isa.OpJR, Flags: FlagIndirect}
+	ret := Entry{PC: 0x104, Op: isa.OpJR, Flags: FlagIndirect | FlagReturn}
+	tr := &Trace{Entries: []Entry{jr, {PC: 0x300}, jr, {PC: 0x200}, jr, {PC: 0x300}, ret}, End: 0x400}
 	ts := tr.IndirectTargets()
 	if got := ts[0x100]; len(got) != 2 || got[0] != 0x200 || got[1] != 0x300 {
 		t.Fatalf("indirect targets = %v", got)
 	}
 	// Returns are indirect too and legitimately recorded; the CFG builder
 	// ignores them, but the profile keeps them.
-	if _, ok := ts[0x104]; !ok {
-		t.Fatalf("return targets missing from profile")
+	if got, ok := ts[0x104]; !ok || len(got) != 1 || got[0] != 0x400 {
+		t.Fatalf("return targets = %v, want [0x400]", got)
 	}
 }
 

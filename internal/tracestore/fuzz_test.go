@@ -11,9 +11,11 @@ import (
 
 // synthFromBytes derives a valid trace deterministically from arbitrary
 // fuzz bytes: each 4-byte window drives one entry's shape (memory kind,
-// destination, source count, control flow), with registers masked into
-// range and deps derived by the reference scan — so every synthesized
-// trace is encodable and the fuzzer steers entry-stream shape directly.
+// destination, source count, control flow — the PC retired next, which
+// becomes the next entry's PC or, after the last, End), with registers
+// masked into range and deps derived by the reference scan — so every
+// synthesized trace is encodable and the fuzzer steers entry-stream shape
+// directly.
 func synthFromBytes(data []byte) (*trace.Trace, *trace.Deps) {
 	tr := &trace.Trace{}
 	pc := uint64(0x1000)
@@ -23,13 +25,13 @@ func synthFromBytes(data []byte) (*trace.Trace, *trace.Deps) {
 		e := trace.Entry{PC: pc, Op: isa.Op(b2)}
 		switch b0 & 3 {
 		case 0:
-			e.Next = pc + isa.InstSize
+			pc += isa.InstSize
 		case 1:
-			e.Next = pc + isa.InstSize + uint64(b1)*isa.InstSize
+			pc += isa.InstSize + uint64(b1)*isa.InstSize
 		case 2:
-			e.Next = pc - uint64(b1)*isa.InstSize // backward, may wrap
+			pc -= uint64(b1) * isa.InstSize // backward, may wrap
 		case 3:
-			e.Next = 0x1000
+			pc = 0x1000
 		}
 		switch (b0 >> 2) & 3 {
 		case 1:
@@ -57,7 +59,7 @@ func synthFromBytes(data []byte) (*trace.Trace, *trace.Deps) {
 			e.Srcs[k] = isa.Reg((b1 + byte(k)) % isa.NumRegs)
 		}
 		tr.Entries = append(tr.Entries, e)
-		pc = e.Next
+		tr.End = pc
 	}
 	return tr, tr.ComputeDeps()
 }
@@ -114,6 +116,9 @@ func FuzzTraceCodec(f *testing.F) {
 		}
 		if len(got.Entries) != len(tr.Entries) || (len(tr.Entries) > 0 && !reflect.DeepEqual(got.Entries, tr.Entries)) {
 			t.Fatal("entries mutated in roundtrip")
+		}
+		if got.End != tr.End {
+			t.Fatalf("End %#x decoded as %#x", tr.End, got.End)
 		}
 		if !reflect.DeepEqual(gotDeps, deps) {
 			t.Fatal("deps mutated in roundtrip")

@@ -74,15 +74,16 @@ func (r *Reader) parser() *parser {
 	return &parser{br: bufio.NewReaderSize(io.NewSectionReader(r.ra, 0, r.size), 64<<10)}
 }
 
-// Load decodes the whole stream: entries, the occurrence index (installed
-// into the returned Trace, so NextOccurrence skips the rebuild), and the
-// dependence information. The occurrence index and every register
-// producer are checked exactly against the decoded entries; memory
-// producers are range-checked only (an exact check would need ComputeDeps'
-// store table). So a successful Load returns exactly the entries, index
-// and register dependences the emulator pipeline would have produced; any
-// inconsistency, truncation, or checksum failure returns an error wrapping
-// ErrCorrupt.
+// Load decodes the whole stream: entries and End, the occurrence index
+// (installed into the returned Trace, so NextOccurrence skips the
+// rebuild), and the dependence information. Every next-PC delta must
+// lead to the PC of the entry after it (the last one gives End), and the
+// occurrence index and every register producer are checked exactly
+// against the decoded entries; memory producers are range-checked only
+// (an exact check would need ComputeDeps' store table). So a successful
+// Load returns exactly the entries, End, index and register dependences
+// the emulator pipeline would have produced; any inconsistency,
+// truncation, or checksum failure returns an error wrapping ErrCorrupt.
 func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 	p := r.parser()
 	if err := p.header(); err != nil {
@@ -108,6 +109,7 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 	// invariant FuzzTraceCodec exercises.
 	prevEntryCount := uint64(chunkEntries)
 	occClosed, depsClosed := false, false
+	var end uint64 // the last decoded entry's next-PC: the trace's End
 
 	for {
 		kind, count, payload, err := p.frame()
@@ -128,7 +130,7 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 			prevEntryCount = count
 			lo := len(entries)
 			entries = slices.Grow(entries, int(count))[:lo+int(count)]
-			if err := decodeEntries(entries[lo:], payload); err != nil {
+			if end, err = decodeEntries(entries[lo:], payload, end, lo > 0); err != nil {
 				return nil, nil, err
 			}
 		case kindOcc:
@@ -192,7 +194,7 @@ func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 			if len(entries) == 0 {
 				entries = nil // an empty trace round-trips as nil, like the emulator produces
 			}
-			t := &trace.Trace{Entries: entries}
+			t := &trace.Trace{Entries: entries, End: end}
 			t.RestoreIndex(occ.pcs, occ.off, occ.backing)
 			return t, &deps.d, nil
 		default:
@@ -386,13 +388,16 @@ func trailing(section string, p []byte, pos int) error {
 }
 
 // decodeEntries parses one entry frame in place into dst, whose length is
-// the frame's entry count. Each entry is assembled in a local and stored
-// whole.
-func decodeEntries(dst []trace.Entry, p []byte) error {
+// the frame's entry count, and returns the next-PC its last entry decodes
+// to. Each entry is assembled in a local and stored whole. Each entry's PC
+// must equal the next-PC decoded before it: next, from the previous frame,
+// when chained, then each entry's own.
+func decodeEntries(dst []trace.Entry, p []byte, next uint64, chained bool) (uint64, error) {
 	pos := 0
 	var prevPC, prevAddr, u uint64
 	for j := range dst {
 		var e trace.Entry
+		var nextDelta uint64
 		// The common entry — one-byte PC and next deltas, at least 24
 		// bytes before the frame's end — reads its four leading bytes in
 		// one load and its register tail in another.
@@ -400,12 +405,12 @@ func decodeEntries(dst []trace.Entry, p []byte) error {
 			w := binary.LittleEndian.Uint32(p[pos:])
 			e.Flags, e.Op = byte(w), isa.Op(w>>8)
 			e.PC = prevPC + uint64(unzigzag(uint64(w>>16&0x7f)))
-			e.Next = e.PC + isa.InstSize + uint64(unzigzag(uint64(w>>24)))
+			nextDelta = uint64(w >> 24)
 			pos += 4
 			if e.Flags&(trace.FlagLoad|trace.FlagStore) != 0 {
 				e.MemW = p[pos]
 				if u, pos = uvarintAt(p, pos+1); bad(p, pos) {
-					return malformed(fmt.Sprintf("entry %d", j))
+					return 0, malformed(fmt.Sprintf("entry %d", j))
 				}
 				e.Addr = prevAddr + uint64(unzigzag(u))
 				prevAddr = e.Addr
@@ -425,8 +430,7 @@ func decodeEntries(dst []trace.Entry, p []byte) error {
 			e.Op = isa.Op(op)
 			u, pos = uvarintAt(p, pos)
 			e.PC = prevPC + uint64(unzigzag(u))
-			u, pos = uvarintAt(p, pos)
-			e.Next = e.PC + isa.InstSize + uint64(unzigzag(u))
+			nextDelta, pos = uvarintAt(p, pos)
 			if e.Flags&(trace.FlagLoad|trace.FlagStore) != 0 {
 				e.MemW, pos = byteAt(p, pos)
 				u, pos = uvarintAt(p, pos)
@@ -444,21 +448,24 @@ func decodeEntries(dst []trace.Entry, p []byte) error {
 				e.Srcs[k] = isa.Reg(r)
 			}
 			if bad(p, pos) {
-				return malformed(fmt.Sprintf("entry %d", j))
+				return 0, malformed(fmt.Sprintf("entry %d", j))
 			}
 		}
-		prevPC = e.PC
+		if e.PC != next && (chained || j > 0) {
+			return 0, corruptf("entry %d: PC %#x, but the entry before it retires to %#x", j, e.PC, next)
+		}
+		prevPC, next = e.PC, e.PC+isa.InstSize+uint64(unzigzag(nextDelta))
 		switch {
 		case e.Dst >= isa.NumRegs:
-			return corruptf("entry %d: destination register %d out of range", j, e.Dst)
+			return 0, corruptf("entry %d: destination register %d out of range", j, e.Dst)
 		case e.NSrc > 2:
-			return corruptf("entry %d: source count %d exceeds 2", j, e.NSrc)
+			return 0, corruptf("entry %d: source count %d exceeds 2", j, e.NSrc)
 		case e.Srcs[0]|e.Srcs[1] >= isa.NumRegs:
-			return corruptf("entry %d: source register %d out of range", j, max(e.Srcs[0], e.Srcs[1]))
+			return 0, corruptf("entry %d: source register %d out of range", j, max(e.Srcs[0], e.Srcs[1]))
 		}
 		dst[j] = e
 	}
-	return trailing("entry", p, pos)
+	return next, trailing("entry", p, pos)
 }
 
 // occDecoder accumulates the occurrence section across its frames. Each

@@ -25,7 +25,11 @@
 // next-PC deltas (next relative to PC+4, the fallthrough), then — only for
 // loads and stores — a width byte and a zigzag-varint address delta, then
 // — only when the entry writes a register — the destination byte, then a
-// source count byte and that many source registers. The encoding is
+// source count byte and that many source registers. A trace.Entry holds
+// no next-PC: Encode derives each from the following entry's PC, or from
+// Trace.End after the last entry, and the decoder checks the chain — each
+// entry's PC must equal the next-PC decoded before it, across frame
+// boundaries too — and returns the last next-PC as End. The encoding is
 // injective over traces the emulator can produce (Encode rejects entries
 // carrying values the format would drop, such as an effective address on
 // a non-memory op), so decode∘encode is the identity and encode∘decode is
@@ -37,9 +41,9 @@
 // deltas). Dependence frames serialize, for entry i, the producing trace
 // index of each register source and (for loads) of the most recent
 // overlapping store, as zigzag varints relative to i. The reader checks
-// the occurrence index and every register producer exactly against the
-// decoded entries (the latter through a last-writer table, as
-// trace.ComputeDeps derives them); memory producers are only
+// the next-PC chain, the occurrence index and every register producer
+// exactly against the decoded entries (the last through a last-writer
+// table, as trace.ComputeDeps derives them); memory producers are only
 // range-checked, since an exact check would need ComputeDeps' store
 // table. The checksums guard integrity, not authenticity — the artifact
 // cache's content addressing covers the rest.

@@ -34,13 +34,13 @@ func realTrace(t testing.TB, name string, maxInstrs int) (*trace.Trace, *trace.D
 // address jumps.
 func synthTrace() (*trace.Trace, *trace.Deps) {
 	tr := &trace.Trace{Entries: []trace.Entry{
-		{PC: 0x1000, Next: 0x1004, Op: 1, Dst: 3, NSrc: 0, Flags: trace.FlagHasDst},
-		{PC: 0x1004, Next: 0x1008, Op: 2, Dst: 4, Srcs: [2]isaReg{3, 0}, NSrc: 2, Flags: trace.FlagHasDst},
-		{PC: 0x1008, Next: 0x100c, Addr: 0xdeadbee0, Op: 3, Dst: 5, Srcs: [2]isaReg{4}, NSrc: 1, MemW: 8, Flags: trace.FlagHasDst | trace.FlagLoad},
-		{PC: 0x100c, Next: 0x0ff0, Addr: 0x10, Op: 4, Srcs: [2]isaReg{5, 4}, NSrc: 2, MemW: 4, Flags: trace.FlagStore},
-		{PC: 0x0ff0, Next: 0x1000, Op: 5, NSrc: 1, Srcs: [2]isaReg{3}, Flags: trace.FlagCondBranch | trace.FlagTaken},
-		{PC: 0x1000, Next: 0x1004, Op: 1, Dst: 3, NSrc: 0, Flags: trace.FlagHasDst},
-	}}
+		{PC: 0x1000, Op: 1, Dst: 3, NSrc: 0, Flags: trace.FlagHasDst},
+		{PC: 0x1004, Op: 2, Dst: 4, Srcs: [2]isaReg{3, 0}, NSrc: 2, Flags: trace.FlagHasDst},
+		{PC: 0x1008, Addr: 0xdeadbee0, Op: 3, Dst: 5, Srcs: [2]isaReg{4}, NSrc: 1, MemW: 8, Flags: trace.FlagHasDst | trace.FlagLoad},
+		{PC: 0x100c, Addr: 0x10, Op: 4, Srcs: [2]isaReg{5, 4}, NSrc: 2, MemW: 4, Flags: trace.FlagStore},
+		{PC: 0x0ff0, Op: 5, NSrc: 1, Srcs: [2]isaReg{3}, Flags: trace.FlagCondBranch | trace.FlagTaken},
+		{PC: 0x1000, Op: 1, Dst: 3, NSrc: 0, Flags: trace.FlagHasDst},
+	}, End: 0x1004}
 	return tr, tr.ComputeDeps()
 }
 
@@ -58,6 +58,9 @@ func roundtrip(t *testing.T, tr *trace.Trace, d *trace.Deps) []byte {
 	}
 	if !reflect.DeepEqual(got.Entries, tr.Entries) {
 		t.Fatalf("entries differ after roundtrip (n=%d vs %d)", len(got.Entries), len(tr.Entries))
+	}
+	if got.End != tr.End {
+		t.Fatalf("End %#x decoded as %#x", tr.End, got.End)
 	}
 	if !reflect.DeepEqual(gotDeps, d) {
 		t.Fatalf("deps differ after roundtrip")
@@ -151,21 +154,25 @@ func TestTruncationAndCorruption(t *testing.T) {
 }
 
 func TestUnencodableEntries(t *testing.T) {
-	base := trace.Entry{PC: 4, Next: 8, Op: 1}
+	base := trace.Entry{PC: 4, Op: 1}
 	for name, e := range map[string]trace.Entry{
-		"addr-on-nonmem":  {PC: 4, Next: 8, Addr: 8},
-		"memw-on-nonmem":  {PC: 4, Next: 8, MemW: 4},
-		"dst-without-has": {PC: 4, Next: 8, Dst: 3},
-		"nsrc-over-2":     {PC: 4, Next: 8, NSrc: 3},
-		"src-beyond-nsrc": {PC: 4, Next: 8, NSrc: 1, Srcs: [2]isaReg{1, 2}},
+		"addr-on-nonmem":  {PC: 8, Addr: 8},
+		"memw-on-nonmem":  {PC: 8, MemW: 4},
+		"dst-without-has": {PC: 8, Dst: 3},
+		"nsrc-over-2":     {PC: 8, NSrc: 3},
+		"src-beyond-nsrc": {PC: 8, NSrc: 1, Srcs: [2]isaReg{1, 2}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			tr := &trace.Trace{Entries: []trace.Entry{base, e}}
+			tr := &trace.Trace{Entries: []trace.Entry{base, e}, End: 12}
 			d := &trace.Deps{RegProd: make([][2]int32, 2), MemProd: []int32{-1, -1}}
 			if _, err := Encode(tr, d); !errors.Is(err, ErrUnencodable) {
 				t.Fatalf("got %v, want ErrUnencodable", err)
 			}
 		})
+	}
+	// With no entry to carry it, End would be dropped.
+	if _, err := Encode(&trace.Trace{End: 4}, &trace.Deps{}); !errors.Is(err, ErrUnencodable) {
+		t.Fatalf("empty trace with End: got %v, want ErrUnencodable", err)
 	}
 }
 
@@ -307,4 +314,76 @@ func TestForgedDependences(t *testing.T) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		}
 	}
+}
+
+// TestForgedNextPC holds the next-PC chain: a next-PC delta that disagrees
+// with the PC of the entry after it passes every checksum, and both decode
+// paths must reject it, within a frame and across the boundary between
+// entry frames.
+func TestForgedNextPC(t *testing.T) {
+	tr, d := loopTrace(chunkEntries + 904)
+	data, err := Encode(tr, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"canonical":          data,
+		"hand-built payload": reframe(t, data, kindEntries, loopPayload(-1, 0)),
+	} {
+		got, gotDeps, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got.Entries, tr.Entries) || got.End != tr.End || !reflect.DeepEqual(gotDeps, d) {
+			t.Fatalf("%s: decodes to another trace", name)
+		}
+	}
+	for name, forged := range map[string][]byte{
+		// Entry 10 (PC 8) claims PC 16 next; entry 11 retires at 12.
+		"mid-frame": reframe(t, data, kindEntries, loopPayload(10, zigzag(4))),
+		// Entry 4095 (PC 28) claims PC 4 next; entry 4096, the first of
+		// the second frame, retires at 0.
+		"frame boundary": reframe(t, data, kindEntries, loopPayload(chunkEntries-1, zigzag(-28))),
+	} {
+		if _, _, err := Decode(forged); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode got %v, want ErrCorrupt", name, err)
+		}
+		if _, _, err := Open(bytes.NewReader(forged), int64(len(forged))).Load(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Load got %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// loopTrace retires n entries of an eight-instruction loop at PCs 0..28,
+// small enough that every delta, an entry frame's absolute first PC
+// included, takes one byte.
+func loopTrace(n int) (*trace.Trace, *trace.Deps) {
+	tr := &trace.Trace{Entries: make([]trace.Entry, n)}
+	for i := range tr.Entries {
+		tr.Entries[i] = trace.Entry{PC: uint64(i%8) * isa.InstSize, Op: isa.OpNOP}
+	}
+	tr.End = uint64(n%8) * isa.InstSize
+	return tr, tr.ComputeDeps()
+}
+
+// loopPayload hand-builds the first entry frame of a loopTrace of at
+// least chunkEntries entries, whose every entry is five bytes (flags,
+// opcode, PC delta, next-PC delta, source count), with entry forge's
+// next-PC delta replaced by delta.
+func loopPayload(forge int, delta uint64) []byte {
+	var b []byte
+	prevPC := int64(0)
+	for j := 0; j < chunkEntries; j++ {
+		pc := int64(j%8) * isa.InstSize
+		next := zigzag(0)
+		if j%8 == 7 {
+			next = zigzag(-pc - isa.InstSize) // back to the loop head
+		}
+		if j == forge {
+			next = delta
+		}
+		b = append(b, 0, byte(isa.OpNOP), byte(zigzag(pc-prevPC)), byte(next), 0)
+		prevPC = pc
+	}
+	return b
 }

@@ -37,9 +37,10 @@ const (
 // into the presized output. The occurrence section comes from the trace's
 // own index (restored by a decode, or built by the simulator); a trace
 // without one gets it built by internal/trace for this call only. Encode
-// fails with ErrUnencodable when an entry carries state the format would
-// silently drop, or when d is not a plausible dependence product of t, so
-// every encoded stream decodes back to exactly the input.
+// fails with ErrUnencodable when an entry (or an empty trace's End)
+// carries state the format would silently drop, or when d is not a
+// plausible dependence product of t, so every encoded stream decodes back
+// to exactly the input.
 func Encode(t *trace.Trace, d *trace.Deps) ([]byte, error) {
 	n := len(t.Entries)
 	if d == nil || len(d.RegProd) != n || len(d.MemProd) != n {
@@ -48,7 +49,7 @@ func Encode(t *trace.Trace, d *trace.Deps) ([]byte, error) {
 	b := make([]byte, 0, 64+n*encodedBytesPerEntry)
 	b = append(b, magic[:]...)
 	b = append(b, version)
-	b, err := appendEntries(b, t.Entries)
+	b, err := appendEntries(b, t)
 	if err != nil {
 		return nil, err
 	}
@@ -94,8 +95,14 @@ func appendCRC(b, payload []byte) []byte {
 }
 
 // appendEntries writes the entry frames: chunkEntries entries per frame,
-// the last frame possibly short, no frame for an empty trace.
-func appendEntries(b []byte, entries []trace.Entry) ([]byte, error) {
+// the last frame possibly short, no frame for an empty trace. Each entry's
+// next-PC delta comes from the following entry's PC, or from t.End after
+// the last entry.
+func appendEntries(b []byte, t *trace.Trace) ([]byte, error) {
+	entries := t.Entries
+	if len(entries) == 0 && t.End != 0 {
+		return nil, unencodablef("empty trace carries End=%#x", t.End)
+	}
 	for lo := 0; lo < len(entries); lo += chunkEntries {
 		chunk := entries[lo:min(lo+chunkEntries, len(entries))]
 		var start int
@@ -116,7 +123,7 @@ func appendEntries(b []byte, entries []trace.Entry) ([]byte, error) {
 			}
 			b = append(b, e.Flags, uint8(e.Op))
 			b = appendUvarint(b, zigzag(int64(e.PC-prevPC)))
-			b = appendUvarint(b, zigzag(int64(e.Next-(e.PC+isa.InstSize))))
+			b = appendUvarint(b, zigzag(int64(t.NextPC(lo+j)-(e.PC+isa.InstSize))))
 			prevPC = e.PC
 			if isMem {
 				b = append(b, e.MemW)

@@ -20,8 +20,10 @@ import (
 // goldenTrace deterministically builds the fixture trace: a fixed xorshift
 // stream drives 10000 entries (spanning three entry frames) through every
 // entry shape — loads, stores, branches, calls, 0/1/2 sources, forward and
-// backward control flow. This generator must never change: the encoded
-// bytes are pinned on disk and by digest.
+// backward control flow. Each entry picks the PC retired after it, which
+// is the next entry's PC or, after the last, End. The encoded bytes are
+// pinned on disk and by digest, so the stream this generates must never
+// change.
 func goldenTrace() (*trace.Trace, *trace.Deps) {
 	tr := &trace.Trace{}
 	pc := uint64(0x4000)
@@ -38,18 +40,18 @@ func goldenTrace() (*trace.Trace, *trace.Deps) {
 		e := trace.Entry{PC: pc, Op: isa.Op(r >> 8)}
 		switch r & 7 {
 		case 0, 1, 2, 3:
-			e.Next = pc + isa.InstSize
+			pc += isa.InstSize
 		case 4:
-			e.Next = pc + isa.InstSize*(2+(r>>16)%64)
+			pc += isa.InstSize * (2 + (r>>16)%64)
 			e.Flags |= trace.FlagCondBranch | trace.FlagTaken
 		case 5:
-			e.Next = 0x4000 + isa.InstSize*((r>>16)%512)
+			pc = 0x4000 + isa.InstSize*((r>>16)%512)
 			e.Flags |= trace.FlagCall
 		case 6:
-			e.Next = 0x4000 + isa.InstSize*((r>>16)%512)
+			pc = 0x4000 + isa.InstSize*((r>>16)%512)
 			e.Flags |= trace.FlagReturn
 		case 7:
-			e.Next = pc + isa.InstSize
+			pc += isa.InstSize
 			e.Flags |= trace.FlagCondBranch
 		}
 		switch (r >> 3) & 3 {
@@ -72,8 +74,8 @@ func goldenTrace() (*trace.Trace, *trace.Deps) {
 			e.Srcs[k] = isa.Reg((r>>(50+6*k))%isa.NumRegs) % isa.NumRegs
 		}
 		tr.Entries = append(tr.Entries, e)
-		pc = e.Next
 	}
+	tr.End = pc
 	return tr, tr.ComputeDeps()
 }
 
@@ -121,8 +123,8 @@ func TestTraceFormatGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dec.Entries) != len(tr.Entries) {
-		t.Fatalf("fixture decodes to %d entries, want %d", len(dec.Entries), len(tr.Entries))
+	if len(dec.Entries) != len(tr.Entries) || dec.End != tr.End {
+		t.Fatalf("fixture decodes to %d entries ending at %#x, want %d ending at %#x", len(dec.Entries), dec.End, len(tr.Entries), tr.End)
 	}
 	for i := range tr.Entries {
 		if dec.Entries[i] != tr.Entries[i] {
@@ -152,7 +154,7 @@ func TestWorkloadTraceDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc, err := tracestore.Encode(&trace.Trace{Entries: b.Trace.Entries}, b.Deps)
+		enc, err := tracestore.Encode(&trace.Trace{Entries: b.Trace.Entries, End: b.Trace.End}, b.Deps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,13 +165,13 @@ func TestWorkloadTraceDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
-		if !reflect.DeepEqual(dec.Entries, b.Trace.Entries) {
+		if !reflect.DeepEqual(dec.Entries, b.Trace.Entries) || dec.End != b.Trace.End {
 			t.Errorf("%s: decoded entries differ from the emulated trace", name)
 		}
 		if !reflect.DeepEqual(deps, b.Deps) {
 			t.Errorf("%s: decoded dependences differ from ComputeDeps", name)
 		}
-		built := &trace.Trace{Entries: b.Trace.Entries}
+		built := &trace.Trace{Entries: b.Trace.Entries, End: b.Trace.End}
 		built.NextOccurrence(b.Trace.Entries[0].PC, 0)
 		for source, tr := range map[string]*trace.Trace{"decoded": dec, "built": built} {
 			if re, err := tracestore.Encode(tr, deps); err != nil || !bytes.Equal(re, enc) {
