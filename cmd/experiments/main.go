@@ -11,7 +11,7 @@
 //	experiments -fig 9 -attrib-dir attrib/
 //	experiments -cache-dir ~/.cache/polyflow   # reruns hit the artifact cache
 //	experiments -trace-cache ~/.cache/polyflow # decode each workload's trace once
-//	experiments -fig 9 -cluster http://127.0.0.1:8180  # run the grid on a polyflowd (coordinator or single daemon)
+//	experiments -fig 9 -remote http://127.0.0.1:8080   # run the grid on a polyflowd daemon
 //
 // -bench and -policy take comma-separated lists and narrow the grid to the
 // named cells; -trace-dir attaches telemetry to every simulated cell and
@@ -47,7 +47,7 @@ var (
 	attribs       = flag.String("attrib-dir", "", "write per-cell spawn-site attribution reports (JSON) into this directory")
 	cacheDir      = flag.String("cache-dir", "", "memoize simulations in a content-addressed artifact cache rooted at this directory")
 	traceCacheDir = flag.String("trace-cache", "", "store workload traces as polyflow-trace/1 artifacts in a cache rooted at this directory (decode once, simulate many; defaults to -cache-dir when set)")
-	cluster       = flag.String("cluster", "", "execute every cell on a remote polyflowd (single daemon or cluster coordinator) at this base URL instead of simulating locally")
+	remote        = flag.String("remote", "", "execute every cell on the polyflowd daemon at this base URL instead of simulating locally")
 	maskStr       = flag.String("mask", "", `suppress spawn sites in every PolyFlow cell, e.g. "0x40:loop" (polytune emits these; the superscalar column stays unmasked)`)
 	logLevel      = flag.String("log-level", "", "emit structured logs to stderr at this level (debug, info, warn, error; empty = off)")
 	logFormat     = flag.String("log-format", "text", "structured log format: text or json")
@@ -171,11 +171,11 @@ func options() (harness.Options, error) {
 		}
 		o.TraceCache = cache
 	}
-	if *cluster != "" {
+	if *remote != "" {
 		if *traces != "" {
-			return o, fmt.Errorf("-trace-dir needs a live local run and cannot combine with -cluster")
+			return o, fmt.Errorf("-trace-dir needs a live local run and cannot combine with -remote")
 		}
-		o.Remote = &server.Client{Base: strings.TrimRight(*cluster, "/"), Retry: server.DefaultRetry()}
+		o.Remote = &server.Client{Base: strings.TrimRight(*remote, "/"), Retry: server.DefaultRetry()}
 	}
 	return o, nil
 }

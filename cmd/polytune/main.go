@@ -79,7 +79,7 @@ func searchCmd(args []string) error {
 	explore := fs.Int("explore", 0, "extra seeded-random candidates per round")
 	minGain := fs.Int64("min-gain", 1, "cycles a candidate must save to be accepted")
 	cacheDir := fs.String("cache-dir", "", "memoize local evaluations in this artifact cache")
-	daemon := fs.String("daemon", "", "evaluate on a polyflowd daemon (or cluster coordinator) at this base URL")
+	daemon := fs.String("daemon", "", "evaluate on the polyflowd daemon at this base URL")
 	out := fs.String("o", "", "write the trajectory JSON here (default stdout)")
 	quiet := fs.Bool("q", false, "suppress per-evaluation progress on stderr")
 	logLevel := fs.String("log-level", "", "emit structured logs to stderr at this level (debug, info, warn, error; empty = off)")

@@ -50,9 +50,8 @@ func TestTraceKeyDisjointFromSimKey(t *testing.T) {
 }
 
 // TestWorkloadKeyHashesPinned pins the trace and analysis key hashes of one
-// fixed input. Stored traces and analyses are addressed by these hashes, and
-// cluster ring placement hashes the trace key too, so they must not move
-// without a schema bump.
+// fixed input. Stored traces and analyses are addressed by these hashes, so
+// they must not move without a schema bump.
 func TestWorkloadKeyHashesPinned(t *testing.T) {
 	tk, err := NewTraceKey("gzip", "abc123", 1_500_000)
 	if err != nil {

@@ -5,7 +5,7 @@
 // structure from its serialized skeleton (cfg.FromBlocks, dom.Rebuild,
 // loops.NewForest) rather than re-running the algorithms; a reconstructed
 // Analysis re-encodes byte-identically to a fresh one, which is what lets
-// cluster workers trust a coordinator-warmed cache.
+// a cell trust an analysis that another process stored in a shared cache.
 package core
 
 import (

@@ -65,11 +65,11 @@ type Options struct {
 	// the shared immutable trace. Nil falls back to Cache, so one
 	// -cache-dir serves both artifact kinds.
 	TraceCache *artifact.Cache
-	// Remote, when non-nil, executes every cell on a remote polyflowd (a
-	// single daemon or a cluster coordinator) instead of simulating
-	// locally: benchmark preparation is skipped — the serving side owns
-	// the traces — and each cell becomes a submitted job whose stored sim
-	// artifact is decoded into the table, byte-identical to a local run.
+	// Remote, when non-nil, executes every cell on a polyflowd daemon
+	// instead of simulating locally: benchmark preparation is skipped —
+	// the daemon owns the traces — and each cell becomes a submitted job
+	// whose stored sim artifact is decoded into the table, byte-identical
+	// to a local run.
 	// TraceDir is incompatible with Remote (telemetry needs a live local
 	// run); AttribDir works, fed from the artifact's embedded report.
 	Remote *server.Client

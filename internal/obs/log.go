@@ -7,9 +7,9 @@ import (
 	"strings"
 )
 
-// Structured logging for the service stack. Every record a daemon emits
+// Structured logging for the service stack. Every record the daemon emits
 // carries enough IDs to join it against spans and metrics: trace_id,
-// job_id, worker, component. Packages take a *slog.Logger and treat nil as
+// job_id, component. Packages take a *slog.Logger and treat nil as
 // "off" — the nil check is the whole cost, keeping the
 // no-collector-configured path free.
 

@@ -1,18 +1,17 @@
-// Package obs is the fleet-observability layer: request-scoped spans with
+// Package obs is the service-observability layer: request-scoped spans with
 // trace propagation, plus structured-logger construction (log.go). Where
 // internal/telemetry measures the *simulated* machine cycle by cycle, obs
-// measures the *service* stack that runs it — queue waits, trace fetches,
-// simulations, artifact encodes — per job, across processes.
+// measures the *service* stack that runs it — queue waits, bench loads,
+// simulations, artifact encodes — per job.
 //
 // Every polyflowd job carries a Trace. Phase boundaries call StartSpan;
 // when no Trace rides the context the call is an inert zero value, so
 // library paths (harness grids, direct speculate runs) pay nothing. The
-// trace ID crosses process boundaries in the X-Polyflow-Trace header: a
-// coordinator stamps it on worker submissions, and after the cell
-// completes it imports the worker's spans, so GET /v1/jobs/{id}/spans on
-// the coordinator renders the whole fleet request as one Chrome
-// trace-event timeline — loadable in Perfetto exactly like a simulated
-// machine timeline from internal/telemetry.
+// trace ID crosses the process boundary in the X-Polyflow-Trace header: a
+// client stamps its own ID on a submission, so the daemon's job joins the
+// caller's trace. GET /v1/jobs/{id}/spans renders a job's spans as a
+// Chrome trace-event timeline — loadable in Perfetto exactly like a
+// simulated machine timeline from internal/telemetry.
 package obs
 
 import (
@@ -26,8 +25,8 @@ import (
 	"time"
 )
 
-// TraceHeader is the HTTP header that propagates a trace ID
-// coordinator -> worker (and accepts caller-supplied IDs on submission).
+// TraceHeader is the HTTP header that carries a caller's trace ID on a
+// request to polyflowd.
 const TraceHeader = "X-Polyflow-Trace"
 
 // NewID returns a fresh 16-hex-digit trace ID.
@@ -63,8 +62,9 @@ type Span struct {
 	// Name is the phase ("queue_wait", "simulate", "artifact_encode", ...).
 	Name string `json:"name"`
 	// Host names the process that recorded the span; empty means the local
-	// process. The coordinator stamps each worker's base URL on import, so
-	// a joined timeline keeps one track per process.
+	// process. A caller that merges a daemon's spans into its own timeline
+	// stamps them with the daemon's name, so each process keeps its own
+	// track.
 	Host  string    `json:"host,omitempty"`
 	Start time.Time `json:"start"`
 	End   time.Time `json:"end"`
@@ -77,8 +77,7 @@ type Span struct {
 func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 
 // Trace collects the spans of one request. It is safe for concurrent use:
-// the job's runner, the SSE relay goroutine and the HTTP spans handler all
-// touch it.
+// the job's runner, the queue and the HTTP spans handler all touch it.
 type Trace struct {
 	id string
 
@@ -117,19 +116,6 @@ func (t *Trace) OnRecord(fn func(Span)) {
 	t.mu.Unlock()
 }
 
-// Import appends spans recorded by another process, stamping host on any
-// span that does not already carry one.
-func (t *Trace) Import(host string, spans []Span) {
-	t.mu.Lock()
-	for _, sp := range spans {
-		if sp.Host == "" {
-			sp.Host = host
-		}
-		t.spans = append(t.spans, sp)
-	}
-	t.mu.Unlock()
-}
-
 // Spans returns a copy of the recorded spans.
 func (t *Trace) Spans() []Span {
 	t.mu.Lock()
@@ -138,8 +124,7 @@ func (t *Trace) Spans() []Span {
 }
 
 // Export is the raw JSON form of a trace — what
-// GET /v1/jobs/{id}/spans?format=raw serves and what the coordinator
-// imports from workers.
+// GET /v1/jobs/{id}/spans?format=raw serves and Client.Spans decodes.
 type Export struct {
 	TraceID string `json:"trace_id"`
 	Spans   []Span `json:"spans"`
@@ -170,8 +155,9 @@ type chromeSpanEvent struct {
 }
 
 // WriteChrome renders the trace as Chrome trace-event JSON: one process
-// row, one thread track per recording host (coordinator first, workers in
-// sorted order), every span a complete ("X") event with its attrs as args.
+// row, one thread track per recording host (the local process first, the
+// others in sorted order), every span a complete ("X") event with its
+// attrs as args.
 // Timestamps are microseconds relative to the earliest span start, so the
 // timeline starts at zero like the simulated-cycle exports.
 func (t *Trace) WriteChrome(w io.Writer) error {

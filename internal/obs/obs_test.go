@@ -81,21 +81,6 @@ func TestStartSpanDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestImportStampsHost(t *testing.T) {
-	tr := NewTrace("root")
-	tr.Import("http://w1:8181", []Span{
-		{Name: "simulate"},
-		{Name: "relabeled", Host: "elsewhere"},
-	})
-	spans := tr.Spans()
-	if spans[0].Host != "http://w1:8181" {
-		t.Fatalf("host not stamped: %+v", spans[0])
-	}
-	if spans[1].Host != "elsewhere" {
-		t.Fatalf("existing host overwritten: %+v", spans[1])
-	}
-}
-
 func TestExportRoundTrip(t *testing.T) {
 	tr := NewTrace("roundtrip")
 	ctx := With(context.Background(), tr)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -9,7 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/attrib"
@@ -21,8 +19,7 @@ import (
 // (queue backpressure) or answer 5xx are reissued with exponential backoff
 // and jitter; other 4xx answers are never retried. The zero value disables
 // retries (exactly one attempt), for callers that implement their own
-// 429 handling — Client.Run — or want one probe, not a retry loop — the
-// coordinator's heartbeats.
+// 429 handling, as Client.Run does.
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget; <= 1 means no retries.
 	MaxAttempts int
@@ -33,9 +30,9 @@ type RetryPolicy struct {
 	MaxDelay time.Duration
 }
 
-// DefaultRetry is the policy the cluster coordinator uses for worker
-// calls: enough attempts to ride out a worker restart, capped well below
-// the heartbeat failure-detection window.
+// DefaultRetry is the policy that `experiments -remote` and
+// `polytune search -daemon` use: enough attempts to ride out a daemon
+// restart, each backoff capped at one second.
 func DefaultRetry() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4, BaseDelay: 25 * time.Millisecond, MaxDelay: time.Second}
 }
@@ -48,7 +45,7 @@ func (RetryPolicy) Retryable(code int) bool {
 
 // backoff blocks for the attempt'th retry delay: exponential growth from
 // BaseDelay capped at MaxDelay, with uniform jitter over the upper half so
-// a fleet of retrying clients never thunders in lockstep.
+// concurrent retrying callers never thunder in lockstep.
 func (p RetryPolicy) backoff(ctx context.Context, attempt int) error {
 	base, max := p.BaseDelay, p.MaxDelay
 	if base <= 0 {
@@ -73,8 +70,7 @@ func (p RetryPolicy) backoff(ctx context.Context, attempt int) error {
 }
 
 // Client is a thin Go client for the polyflowd API; remote harness grids,
-// the remote tuner, perfbench and the cluster coordinator drive daemons
-// through it.
+// the remote tuner and perfbench drive the daemon through it.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8080".
 	Base string
@@ -306,14 +302,6 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	return string(raw), err
 }
 
-// PromMetrics fetches the Prometheus text exposition (what a scraper and
-// the CI exposition checker consume).
-func (c *Client) PromMetrics(ctx context.Context) ([]byte, error) {
-	var raw []byte
-	_, err := c.do(ctx, http.MethodGet, "/metrics?format=prometheus", nil, &raw)
-	return raw, err
-}
-
 // Healthy reports whether the server answers /healthz with 200.
 func (c *Client) Healthy(ctx context.Context) bool {
 	code, err := c.do(ctx, http.MethodGet, "/healthz", nil, nil)
@@ -327,58 +315,12 @@ func (c *Client) Ready(ctx context.Context) bool {
 	return err == nil && code == http.StatusOK
 }
 
-// Spans fetches a job's raw trace export (the coordinator imports these
-// into its own timeline after a cell completes).
+// Spans fetches a job's raw trace export, so a caller can merge the
+// daemon's phase spans into its own timeline.
 func (c *Client) Spans(ctx context.Context, id string) (obs.Export, error) {
 	var raw []byte
 	if _, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/spans?format=raw", nil, &raw); err != nil {
 		return obs.Export{}, err
 	}
 	return obs.DecodeExport(raw)
-}
-
-// StreamEvents subscribes to a job's SSE stream and invokes fn for every
-// event until the stream ends (terminal state), ctx is canceled, or fn
-// returns an error (which stops the stream and is returned). The cluster
-// coordinator relays worker progress through this. No retries: a broken
-// stream returns; callers that care re-subscribe.
-func (c *Client) StreamEvents(ctx context.Context, id string, fn func(event string, data []byte) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return err
-	}
-	if tid := obs.IDFrom(ctx); tid != "" {
-		req.Header.Set(obs.TraceHeader, tid)
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /v1/jobs/%s/events: HTTP %d", id, resp.StatusCode)
-	}
-	event := ""
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			if err := fn(event, []byte(strings.TrimPrefix(line, "data: "))); err != nil {
-				return err
-			}
-		case line == "":
-			event = ""
-		}
-	}
-	if err := sc.Err(); err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return err
-	}
-	return ctx.Err()
 }

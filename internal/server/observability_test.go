@@ -100,20 +100,16 @@ type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
-// TestReadyzLifecycle drives the readiness probe through its three states:
-// starting (StartUnready), ready, draining.
+// TestReadyzLifecycle drives the readiness probe through its two states:
+// ready from the start, then 503 once draining.
 func TestReadyzLifecycle(t *testing.T) {
-	s, c := newTestServer(t, Config{Runner: stubRunner([]byte(`{}`), nil), StartUnready: true})
+	s, c := newTestServer(t, Config{Runner: stubRunner([]byte(`{}`), nil)})
 	ctx := context.Background()
 	if !c.Healthy(ctx) {
-		t.Fatal("unready server should still be healthy (alive)")
+		t.Fatal("new server is not healthy")
 	}
-	if c.Ready(ctx) {
-		t.Fatal("StartUnready server reports ready")
-	}
-	s.SetReady(true)
 	if !c.Ready(ctx) {
-		t.Fatal("server not ready after SetReady(true)")
+		t.Fatal("new server is not ready")
 	}
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
@@ -203,7 +199,7 @@ func (l lockedWriter) Write(p []byte) (int, error) {
 	return l.w.Write(p)
 }
 
-// TestConcurrentSSESubscribers is the satellite race guard: several
+// TestConcurrentSSESubscribers is a race guard: several
 // subscribers share one job's stream, one disconnects mid-flight, and every
 // surviving subscriber still observes the terminal state event last.
 func TestConcurrentSSESubscribers(t *testing.T) {
@@ -231,8 +227,7 @@ func TestConcurrentSSESubscribers(t *testing.T) {
 	const subs = 4
 	type streamResult struct {
 		canceled bool
-		last     string
-		terminal string
+		events   []string
 		err      error
 	}
 	results := make(chan streamResult, subs)
@@ -248,16 +243,7 @@ func TestConcurrentSSESubscribers(t *testing.T) {
 		go func(sctx context.Context, canceled bool) {
 			defer wg.Done()
 			res := streamResult{canceled: canceled}
-			res.err = c.StreamEvents(sctx, st.ID, func(event string, data []byte) error {
-				res.last = event
-				if event == "state" {
-					var s Status
-					if json.Unmarshal(data, &s) == nil {
-						res.terminal = s.State
-					}
-				}
-				return nil
-			})
+			res.events, res.err = sseEvents(sctx, c.Base, st.ID)
 			results <- res
 		}(streamCtx, canceled)
 	}
@@ -275,8 +261,14 @@ func TestConcurrentSSESubscribers(t *testing.T) {
 		if res.err != nil {
 			t.Fatalf("surviving subscriber errored: %v", res.err)
 		}
-		if res.last != "state" || res.terminal != "succeeded" {
-			t.Fatalf("subscriber ended on %q/%q, want terminal state event", res.last, res.terminal)
+		if len(res.events) == 0 {
+			t.Fatal("surviving subscriber saw no events")
+		}
+		last := res.events[len(res.events)-1]
+		var fin Status
+		event, data, _ := strings.Cut(last, " ")
+		if event != "state" || json.Unmarshal([]byte(data), &fin) != nil || fin.State != "succeeded" {
+			t.Fatalf("subscriber ended on %q, want terminal state event", last)
 		}
 	}
 }

@@ -97,8 +97,7 @@ func TestRetryExhaustionReturnsLastError(t *testing.T) {
 
 func TestRetryZeroPolicyMeansOneAttempt(t *testing.T) {
 	// The zero value must preserve the historical single-attempt behavior:
-	// Client.Run's own 429 loop depends on seeing the first 429, and the
-	// coordinator's heartbeat probes make one attempt each.
+	// Client.Run's own 429 loop depends on seeing the first 429.
 	h := &flakyHandler{codes: []int{http.StatusTooManyRequests}}
 	srv := httptest.NewServer(h)
 	defer srv.Close()

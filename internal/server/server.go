@@ -17,11 +17,11 @@
 //	GET    /v1/jobs/{id}/spans  the job's trace: Chrome trace-event JSON (?format=raw for obs.Export)
 //	GET    /metrics             telemetry summary, text/plain (?format=prometheus for exposition 0.0.4)
 //	GET    /healthz             200 ok, 503 while draining
-//	GET    /readyz              200 once serving traffic, 503 before ready or while draining
+//	GET    /readyz              200 while accepting work, 503 while draining
 //
 // Every job carries an obs.Trace; submitters may supply the ID in the
-// X-Polyflow-Trace header (the cluster coordinator does) and phase spans
-// (queue_wait, trace_fetch, bench_load, simulate, artifact_encode,
+// X-Polyflow-Trace header (server.Client forwards a traced context's ID)
+// and phase spans (queue_wait, bench_load, simulate, artifact_encode,
 // cache_lookup) are recorded against it.
 //
 // See docs/SERVICE.md for the full protocol description.
@@ -45,7 +45,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/tracestore"
-	"repro/internal/workloads"
 )
 
 // ProgressFunc receives simulation progress; it matches the machine
@@ -102,8 +101,8 @@ type Status struct {
 	Finished   time.Time `json:"finished_at"`
 	DurationMS int64     `json:"duration_ms,omitempty"`
 	Progress   *Progress `json:"progress,omitempty"`
-	// TraceID joins this job against its spans, logs and the coordinator's
-	// fleet timeline.
+	// TraceID joins this job against its spans, its logs and the
+	// submitter's own trace.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -120,39 +119,21 @@ type Config struct {
 	MaxJobs int
 	// Runner overrides the simulation path (tests). Nil simulates.
 	Runner Runner
-	// TraceUpstream, when non-nil, names another polyflowd — typically the
-	// cluster coordinator — to fetch missing trace artifacts from (GET
-	// /v1/traces/{bench}) before falling back to local emulation. A cluster
-	// worker therefore decodes each workload once ever and emulates none;
-	// an unreachable upstream degrades to the local emulator.
-	TraceUpstream *Client
-	// MetricsExtra, when non-nil, contributes additional metrics to the
-	// GET /metrics snapshot (the cluster coordinator injects its cluster.*
-	// counters through it). It runs on the request path, so it must be
-	// safe for concurrent use.
-	MetricsExtra func(reg *telemetry.Registry)
 	// Logger receives structured request/job records; nil disables logging
 	// entirely (the nil check is the whole cost).
 	Logger *slog.Logger
-	// StartUnready makes /readyz answer 503 until SetReady(true). A cluster
-	// worker starts unready and flips once registered with its coordinator,
-	// so a smoke script polling /readyz never races registration.
-	StartUnready bool
 }
 
 // Server is the polyflowd HTTP handler plus its job registry.
 type Server struct {
-	pool         *jobqueue.Pool
-	ownPool      bool
-	cache        *artifact.Cache
-	runner       Runner
-	maxJobs      int
-	upstream     *Client
-	metricsExtra func(reg *telemetry.Registry)
-	logger       *slog.Logger
-	hists        *telemetry.HistSet
-	ready        atomic.Bool
-	mux          *http.ServeMux
+	pool    *jobqueue.Pool
+	ownPool bool
+	cache   *artifact.Cache
+	runner  Runner
+	maxJobs int
+	logger  *slog.Logger
+	hists   *telemetry.HistSet
+	mux     *http.ServeMux
 
 	mu    sync.Mutex
 	jobs  map[string]*job
@@ -181,28 +162,24 @@ type counters struct {
 
 	// Trace provenance: how benchmark preparation obtained each workload's
 	// trace (decode-once accounting), plus /v1/traces fetches served.
-	traceEmuDecodes      atomic.Int64
-	traceArtifactHits    atomic.Int64
-	traceMemoHits        atomic.Int64
-	tracesServed         atomic.Int64
-	traceUpstreamFetches atomic.Int64
+	traceEmuDecodes   atomic.Int64
+	traceArtifactHits atomic.Int64
+	traceMemoHits     atomic.Int64
+	tracesServed      atomic.Int64
 }
 
 // New builds the server. Call Close when done; it drains the pool.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
-		pool:         cfg.Pool,
-		cache:        cfg.Cache,
-		runner:       cfg.Runner,
-		maxJobs:      cfg.MaxJobs,
-		upstream:     cfg.TraceUpstream,
-		metricsExtra: cfg.MetricsExtra,
-		logger:       cfg.Logger,
-		hists:        telemetry.NewHistSet(),
-		jobs:         map[string]*job{},
-		stop:         make(chan struct{}),
+		pool:    cfg.Pool,
+		cache:   cfg.Cache,
+		runner:  cfg.Runner,
+		maxJobs: cfg.MaxJobs,
+		logger:  cfg.Logger,
+		hists:   telemetry.NewHistSet(),
+		jobs:    map[string]*job{},
+		stop:    make(chan struct{}),
 	}
-	s.ready.Store(!cfg.StartUnready)
 	if s.pool == nil {
 		s.pool = jobqueue.New(jobqueue.Config{})
 		s.ownPool = true
@@ -255,10 +232,6 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 	})
 }
 
-// SetReady flips the /readyz answer; a cluster worker turns ready only
-// after its coordinator registration succeeds.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
 // ServeHTTP dispatches to the API routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.m.httpRequests.Add(1)
@@ -292,11 +265,6 @@ func (s *Server) Close() {
 // server-smoke asserts on: two jobs for one workload must show a single
 // emulator decode.
 func (s *Server) bench(ctx context.Context, name string) (*speculate.Bench, error) {
-	if s.upstream != nil {
-		end := obs.StartSpan(ctx, "trace_fetch")
-		s.prefetchTrace(name)
-		end.End("bench", name)
-	}
 	end := obs.StartSpan(ctx, "bench_load")
 	b, src, err := speculate.LoadCached(name, s.cache)
 	if err != nil {
@@ -319,37 +287,8 @@ func (s *Server) bench(ctx context.Context, name string) (*speculate.Bench, erro
 	return b, nil
 }
 
-// prefetchTrace pulls the workload's encoded trace from the upstream
-// daemon into the local artifact cache when it is not already present, so
-// the LoadCached that follows resolves by decoding the stored artifact
-// instead of running the emulator. Singleflight in GetOrCompute dedups
-// concurrent fetches of one workload; any failure is non-fatal — the bench
-// simply falls back to local emulation.
-func (s *Server) prefetchTrace(name string) {
-	if s.upstream == nil {
-		return
-	}
-	w, ok := workloads.ByName(name)
-	if !ok {
-		return
-	}
-	key, err := artifact.NewTraceKey(w.Name, w.SHA(), w.MaxInstrs)
-	if err != nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	s.cache.GetOrCompute(ctx, key.Hash(), func(ctx context.Context) ([]byte, error) {
-		data, err := s.upstream.Trace(ctx, name)
-		if err == nil {
-			s.m.traceUpstreamFetches.Add(1)
-		}
-		return data, err
-	})
-}
-
 // handleTrace serves a workload's serialized polyflow-trace/1 artifact, so
-// a remote worker can fetch the decoded trace instead of re-emulating
+// a client can fetch the decoded trace instead of re-emulating
 // (`polyflow -trace-in` consumes the bytes). The ETag is the artifact's
 // content hash.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -433,15 +372,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Every job is traced. A caller-supplied X-Polyflow-Trace ID (the
-	// cluster coordinator forwards its own) joins this job to a wider
-	// request; otherwise the job gets a fresh ID. Local spans also feed the
-	// per-phase latency histograms.
+	// Every job is traced. A caller-supplied X-Polyflow-Trace ID joins this
+	// job to the caller's own trace; otherwise the job gets a fresh ID. Its
+	// spans also feed the per-phase latency histograms.
 	tr := obs.NewTrace(r.Header.Get(obs.TraceHeader))
 	tr.OnRecord(func(sp obs.Span) {
-		if sp.Host == "" {
-			s.hists.Observe("server.phase."+sp.Name+"_ms", phaseBounds, sp.Duration().Milliseconds())
-		}
+		s.hists.Observe("server.phase."+sp.Name+"_ms", phaseBounds, sp.Duration().Milliseconds())
 	})
 	j := s.register(req, tr)
 	h, err := s.pool.Submit(jobqueue.Job{
@@ -644,24 +580,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is the traffic-readiness probe, distinct from /healthz
-// (liveness): it answers 503 until the daemon is fully wired (a cluster
-// worker stays unready until its coordinator registration lands) and again
-// once draining starts. Smoke scripts and load balancers poll this.
+// (liveness): it answers 200 while the daemon accepts work and 503 once
+// draining starts. Smoke scripts and load balancers poll this.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	st := s.pool.Stats()
 	status, code := "ready", http.StatusOK
-	switch {
-	case st.Draining:
+	if s.pool.Stats().Draining {
 		status, code = "draining", http.StatusServiceUnavailable
-	case !s.ready.Load():
-		status, code = "starting", http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, map[string]any{"status": status})
 }
 
 // handleSpans serves a job's trace: by default Chrome trace-event JSON
-// (loadable in Perfetto), with ?format=raw for the obs.Export form the
-// coordinator ingests when joining worker spans into its own timeline.
+// (loadable in Perfetto), with ?format=raw for the obs.Export form that
+// Client.Spans decodes.
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(r.PathValue("id"))
 	if !ok {
@@ -701,7 +632,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	set("server.traces.artifact_hits", s.m.traceArtifactHits.Load())
 	set("server.traces.memo_hits", s.m.traceMemoHits.Load())
 	set("server.traces.served", s.m.tracesServed.Load())
-	set("server.traces.upstream_fetches", s.m.traceUpstreamFetches.Load())
 
 	ps := s.pool.Stats()
 	reg.Gauge("pool.workers").Set(int64(ps.Workers))
@@ -720,9 +650,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg.Gauge("cache.mem_entries").Set(int64(cs.MemEntries))
 	reg.Gauge("cache.mem_bytes").Set(cs.MemBytes)
 
-	if s.metricsExtra != nil {
-		s.metricsExtra(reg)
-	}
 	s.hists.Fill(reg)
 
 	if r.URL.Query().Get("format") == "prometheus" {

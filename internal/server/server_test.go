@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -358,16 +359,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// sseEvents collects one job's SSE stream until it closes.
-func sseEvents(t *testing.T, base, id string) []string {
-	t.Helper()
-	resp, err := http.Get(base + "/v1/jobs/" + id + "/events")
+// sseEvents collects one job's SSE stream until it closes or ctx ends,
+// each event as "<event> <data>". It returns errors rather than failing
+// the test, so subscriber goroutines can call it.
+func sseEvents(ctx context.Context, base, id string) ([]string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content-type = %q", ct)
+		return nil, fmt.Errorf("content-type = %q", ct)
 	}
 	var events []string
 	sc := bufio.NewScanner(resp.Body)
@@ -381,7 +387,7 @@ func sseEvents(t *testing.T, base, id string) []string {
 			events = append(events, ev+" "+strings.TrimPrefix(line, "data: "))
 		}
 	}
-	return events
+	return events, sc.Err()
 }
 
 func TestSSEStreamsStatesAndProgress(t *testing.T) {
@@ -403,7 +409,10 @@ func TestSSEStreamsStatesAndProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The job is terminal: the stream replays the final state and closes.
-	events := sseEvents(t, hs.URL, st.ID)
+	events, err := sseEvents(context.Background(), hs.URL, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(events) == 0 {
 		t.Fatal("no SSE events")
 	}
@@ -442,11 +451,18 @@ func TestSSELiveProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	eventsCh := make(chan []string, 1)
-	go func() { eventsCh <- sseEvents(t, hs.URL, st.ID) }()
+	var events []string
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		events, err = sseEvents(context.Background(), hs.URL, st.ID)
+		done <- err
+	}()
 	time.Sleep(20 * time.Millisecond) // let the subscriber attach while running
 	close(release)
-	events := <-eventsCh
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 	var sawProgress, sawDone bool
 	for _, ev := range events {
 		if strings.HasPrefix(ev, "progress ") && strings.Contains(ev, `"cycle":2048`) {

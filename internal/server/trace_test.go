@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -9,7 +8,6 @@ import (
 
 	"repro"
 	"repro/internal/artifact"
-	"repro/internal/workloads"
 )
 
 // metricValue extracts one counter from the /metrics text summary.
@@ -103,84 +101,5 @@ func TestTraceEndpoint(t *testing.T) {
 
 	if _, err := c.Trace(ctx, "no-such-bench"); err == nil {
 		t.Fatal("unknown bench served a trace")
-	}
-}
-
-// TestTraceUpstreamPrefetch drives a worker daemon pointed at an upstream
-// coordinator: the worker's first job for a workload pulls the encoded
-// trace over /v1/traces instead of re-running the emulator, stores it in
-// its own cache byte-identically, and never fetches the workload again.
-func TestTraceUpstreamPrefetch(t *testing.T) {
-	// Warm the coordinator-side cache with one real emulator run.
-	speculate.ClearBenchCache()
-	t.Cleanup(speculate.ClearBenchCache)
-	coordCache, err := artifact.New(artifact.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := speculate.LoadCached("gzip", coordCache); err != nil {
-		t.Fatal(err)
-	}
-	_, upstream := newTestServer(t, Config{Cache: coordCache})
-
-	// Drop the process memo so the worker cannot shortcut past its own
-	// (empty) cache; the only emulation-free path left is the prefetch.
-	speculate.ClearBenchCache()
-	workerCache, err := artifact.New(artifact.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, wc := newTestServer(t, Config{Cache: workerCache, TraceUpstream: upstream})
-	ctx := context.Background()
-
-	emuBefore := speculate.EmulatorRuns()
-	for _, policy := range []string{"postdoms", "loop"} {
-		st, _, err := wc.Submit(ctx, Request{Bench: "gzip", Policy: policy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fin, err := wc.Wait(ctx, st.ID, 5*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fin.State != "succeeded" {
-			t.Fatalf("%s job state = %q (%s)", policy, fin.State, fin.Error)
-		}
-	}
-	if got := speculate.EmulatorRuns(); got != emuBefore {
-		t.Errorf("worker re-ran the emulator %d times; the trace prefetch should have made that unnecessary", got-emuBefore)
-	}
-
-	metrics, err := wc.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := metricValue(t, metrics, "server.traces.upstream_fetches"); got != "1" {
-		t.Errorf("server.traces.upstream_fetches = %s, want 1 (decode once cluster-wide)", got)
-	}
-	if got := metricValue(t, metrics, "server.traces.emu_decodes"); got != "0" {
-		t.Errorf("server.traces.emu_decodes = %s, want 0 on a prefetching worker", got)
-	}
-
-	// The prefetched artifact lands in the worker's cache under the same
-	// content address, byte-identical to the coordinator's copy.
-	w, ok := workloads.ByName("gzip")
-	if !ok {
-		t.Fatal("gzip workload missing")
-	}
-	key, err := artifact.NewTraceKey(w.Name, artifact.SourceSHA(w.Source), w.MaxInstrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, hit, err := coordCache.Get(key.Hash())
-	if err != nil || !hit {
-		t.Fatalf("coordinator cache lost the trace artifact (hit=%v err=%v)", hit, err)
-	}
-	got, hit, err := workerCache.Get(key.Hash())
-	if err != nil || !hit {
-		t.Fatalf("worker cache missing the prefetched trace artifact (hit=%v err=%v)", hit, err)
-	}
-	if !bytes.Equal(want, got) {
-		t.Error("prefetched trace artifact differs from the coordinator's copy")
 	}
 }

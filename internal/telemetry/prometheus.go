@@ -157,7 +157,7 @@ func braced(labels string) string {
 // PromLabel renders one key="value" label pair with the exposition
 // format's escaping, for composing labeled registry names:
 //
-//	reg.Counter("cluster.worker.retries{" + telemetry.PromLabel("worker", addr) + "}")
+//	reg.Counter("server.http.requests{" + telemetry.PromLabel("route", pattern) + "}")
 func PromLabel(key, value string) string {
 	var b strings.Builder
 	b.WriteString(key)

@@ -63,10 +63,9 @@ func (e *LocalEvaluator) Evaluate(ctx context.Context, mask *machine.SpawnMask) 
 	return outcome(data, hit)
 }
 
-// RemoteEvaluator drives a polyflowd daemon (or, transparently, a cluster
-// coordinator — the coordinator forwards the request wholesale) through
-// Client.Run. Cache hits come from the daemon's terminal job status, so a
-// warm daemon serves a whole tuning round without resimulating.
+// RemoteEvaluator drives a polyflowd daemon through Client.Run. Cache
+// hits come from the daemon's terminal job status, so a warm daemon serves
+// a whole tuning round without resimulating.
 type RemoteEvaluator struct {
 	Client *server.Client
 	Bench  string

@@ -104,9 +104,9 @@ func (w Workload) Segments(prog *isa.Program) []emu.Segment {
 
 // The generators are deterministic (fixed rand seeds — SourceSHA keys the
 // artifact cache on their output), so the workload table is built exactly
-// once. Callers like the polyflowd submit path and the cluster
-// coordinator's ring placement resolve workloads per request; regenerating
-// twelve program sources each time dominated their profiles.
+// once. Callers like the polyflowd submit path resolve workloads per
+// request; regenerating twelve program sources each time dominated their
+// profiles.
 var (
 	allWorkloads = sync.OnceValue(func() []Workload {
 		return []Workload{

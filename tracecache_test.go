@@ -37,7 +37,7 @@ func artifactHashes(t *testing.T, name string) (traceHash, anHash string) {
 // the polyflow-analysis/1 artifact stored alongside a workload's trace is
 // byte-identical to encoding a fresh core.Analyze result, and decoding then
 // re-encoding it reproduces the same bytes. That identity is what lets a
-// cluster worker trust a coordinator-warmed analysis artifact.
+// cell trust an analysis artifact that another process stored.
 func TestAnalysisArtifactByteIdentity(t *testing.T) {
 	cache, err := artifact.New(artifact.Options{Dir: t.TempDir()})
 	if err != nil {
