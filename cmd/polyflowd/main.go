@@ -23,11 +23,10 @@
 //
 // Observability (see docs/OBSERVABILITY.md "Service observability"):
 // structured logs go to stderr (-log-level, -log-format json|text),
-// GET /metrics?format=prometheus serves the Prometheus exposition,
-// GET /v1/jobs/{id}/spans serves each job's phase-span timeline, and
-// -pprof-addr starts an optional net/http/pprof listener. /readyz answers
-// 200 while the daemon accepts work and 503 once it drains, distinct from
-// the /healthz liveness probe.
+// GET /metrics serves the telemetry summary, GET /v1/jobs/{id}/spans serves
+// each job's phase-span timeline, and -pprof-addr starts an optional
+// net/http/pprof listener. /healthz, the one probe, answers 200 while the
+// daemon accepts work and 503 once it drains.
 //
 // SIGINT/SIGTERM drain gracefully: intake stops (submissions answer 503),
 // accepted jobs finish (bounded by -drain-timeout), then the process exits.

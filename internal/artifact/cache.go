@@ -33,9 +33,6 @@ type Stats struct {
 	MemBytes   int64
 }
 
-// Hits returns total hits across both tiers.
-func (s Stats) Hits() int64 { return s.MemHits + s.DiskHits }
-
 // Cache is the two-tier content-addressed store: a bounded LRU of recently
 // used artifacts in front of an on-disk tier laid out by hash. All methods
 // are safe for concurrent use. Payloads are immutable: callers must not

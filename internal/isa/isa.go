@@ -230,9 +230,6 @@ func (i Inst) IsLoad() bool { return i.Op >= OpLB && i.Op <= OpLD }
 // IsStore reports whether the instruction writes memory.
 func (i Inst) IsStore() bool { return i.Op >= OpSB && i.Op <= OpSD }
 
-// IsMem reports whether the instruction accesses memory.
-func (i Inst) IsMem() bool { return i.IsLoad() || i.IsStore() }
-
 // EndsBlock reports whether the instruction terminates a basic block: any
 // control transfer or halt ends a block.
 func (i Inst) EndsBlock() bool {

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/attrib"
 	"repro/internal/obs"
 )
 
@@ -176,13 +175,6 @@ func (c *Client) Status(ctx context.Context, id string) (Status, error) {
 	return st, err
 }
 
-// List fetches every retained job, newest first.
-func (c *Client) List(ctx context.Context) ([]Status, error) {
-	var out []Status
-	_, err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &out)
-	return out, err
-}
-
 // Cancel cancels a queued or running job.
 func (c *Client) Cancel(ctx context.Context, id string) error {
 	_, err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, nil)
@@ -278,41 +270,12 @@ func (c *Client) ResultBytes(ctx context.Context, id string) ([]byte, error) {
 	return raw, err
 }
 
-// Attrib fetches a succeeded job's attribution report.
-func (c *Client) Attrib(ctx context.Context, id string) (*attrib.Report, error) {
-	var raw []byte
-	if _, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/attrib", nil, &raw); err != nil {
-		return nil, err
-	}
-	return attrib.ReadReport(bytes.NewReader(raw))
-}
-
 // Trace fetches a workload's serialized polyflow-trace/1 artifact —
 // feedable to `polyflow -trace-in` or speculate.LoadFromTraceData.
 func (c *Client) Trace(ctx context.Context, bench string) ([]byte, error) {
 	var raw []byte
 	_, err := c.do(ctx, http.MethodGet, "/v1/traces/"+bench, nil, &raw)
 	return raw, err
-}
-
-// Metrics fetches the plain-text telemetry summary.
-func (c *Client) Metrics(ctx context.Context) (string, error) {
-	var raw []byte
-	_, err := c.do(ctx, http.MethodGet, "/metrics", nil, &raw)
-	return string(raw), err
-}
-
-// Healthy reports whether the server answers /healthz with 200.
-func (c *Client) Healthy(ctx context.Context) bool {
-	code, err := c.do(ctx, http.MethodGet, "/healthz", nil, nil)
-	return err == nil && code == http.StatusOK
-}
-
-// Ready reports whether the server answers /readyz with 200 — serving
-// traffic, not merely alive.
-func (c *Client) Ready(ctx context.Context) bool {
-	code, err := c.do(ctx, http.MethodGet, "/readyz", nil, nil)
-	return err == nil && code == http.StatusOK
 }
 
 // Spans fetches a job's raw trace export, so a caller can merge the

@@ -28,8 +28,8 @@ type Event struct {
 type job struct {
 	id     string
 	req    Request
-	handle *jobqueue.Handle
-	trace  *obs.Trace // immutable after creation; its own lock guards spans
+	handle *jobqueue.Handle // set before the record is published
+	trace  *obs.Trace       // immutable after creation; its own lock guards spans
 
 	mu        sync.Mutex
 	state     jobqueue.State

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/telemetry"
 )
 
 // TestJobTraceAndSpans covers the span pipeline end to end: a
@@ -100,28 +99,29 @@ type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
-// TestReadyzLifecycle drives the readiness probe through its two states:
-// ready from the start, then 503 once draining.
+// TestReadyzLifecycle drives the daemon's one readiness probe, /healthz,
+// through its two states: ready from the start, then 503 once draining.
+// The retired /readyz route is not served.
 func TestReadyzLifecycle(t *testing.T) {
 	s, c := newTestServer(t, Config{Runner: stubRunner([]byte(`{}`), nil)})
 	ctx := context.Background()
-	if !c.Healthy(ctx) {
-		t.Fatal("new server is not healthy")
+	if code := healthz(c); code != http.StatusOK {
+		t.Fatalf("new server: healthz = %d, want 200", code)
 	}
-	if !c.Ready(ctx) {
-		t.Fatal("new server is not ready")
+	if code, _ := c.do(ctx, http.MethodGet, "/readyz", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("/readyz = %d, want 404", code)
 	}
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if c.Ready(ctx) {
-		t.Fatal("draining server reports ready")
+	if code := healthz(c); code != http.StatusServiceUnavailable {
+		t.Fatalf("draining server: healthz = %d, want 503", code)
 	}
 }
 
-// TestMetricsPrometheus scrapes the exposition endpoint after one job and
-// validates it with the same checker CI uses: per-endpoint latency and the
-// queue_wait phase histogram must be present and well-formed.
+// TestMetricsPrometheus checks that /metrics has one format: a request
+// for the retired Prometheus exposition gets the same text summary, with
+// the per-endpoint latency and queue_wait phase histograms in it.
 func TestMetricsPrometheus(t *testing.T) {
 	_, c := newTestServer(t, Config{Runner: stubRunner([]byte(`{}`), nil)})
 	ctx := context.Background()
@@ -136,21 +136,17 @@ func TestMetricsPrometheus(t *testing.T) {
 	if _, err := c.do(ctx, http.MethodGet, "/metrics?format=prometheus", nil, &raw); err != nil {
 		t.Fatal(err)
 	}
-	err = telemetry.CheckExposition(bytes.NewReader(raw),
-		"server_jobs_submitted", "server_http_latency_ms", "server_phase_queue_wait_ms", "pool_workers")
-	if err != nil {
-		t.Fatalf("exposition invalid: %v\n%s", err, raw)
+	text := string(raw)
+	for _, want := range []string{
+		"server.jobs.submitted", "pool.workers",
+		`server.http.latency_ms{route="POST /v1/jobs"}`, "server.phase.queue_wait_ms",
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("format=prometheus answer missing %q:\n%s", want, text)
+		}
 	}
-	if !strings.Contains(string(raw), `server_http_latency_ms_bucket{route="POST /v1/jobs",le="+Inf"}`) {
-		t.Fatalf("per-route latency series missing:\n%s", raw)
-	}
-	// The default summary still works and is unchanged in shape.
-	text, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "server.jobs.submitted") {
-		t.Fatalf("summary lost its counters: %s", text)
+	if strings.Contains(text, "# TYPE") || strings.Contains(text, "_bucket{") {
+		t.Fatalf("format=prometheus still renders an exposition:\n%s", text)
 	}
 }
 

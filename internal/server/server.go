@@ -15,9 +15,8 @@
 //	GET    /v1/jobs/{id}/attrib the attribution report (polyflow-attrib/1)
 //	GET    /v1/jobs/{id}/events SSE stream: state transitions and progress
 //	GET    /v1/jobs/{id}/spans  the job's trace: Chrome trace-event JSON (?format=raw for obs.Export)
-//	GET    /metrics             telemetry summary, text/plain (?format=prometheus for exposition 0.0.4)
-//	GET    /healthz             200 ok, 503 while draining
-//	GET    /readyz              200 while accepting work, 503 while draining
+//	GET    /metrics             telemetry summary, text/plain
+//	GET    /healthz             200 while accepting work, 503 while draining
 //
 // Every job carries an obs.Trace; submitters may supply the ID in the
 // X-Polyflow-Trace header (server.Client forwards a traced context's ID)
@@ -209,7 +208,6 @@ func New(cfg Config) (*Server, error) {
 	s.route("GET /v1/traces/{bench}", s.handleTrace)
 	s.route("GET /metrics", s.handleMetrics)
 	s.route("GET /healthz", s.handleHealthz)
-	s.route("GET /readyz", s.handleReadyz)
 	return s, nil
 }
 
@@ -224,7 +222,7 @@ var (
 // histogram keyed by the route pattern (for the SSE endpoint the recorded
 // latency is the stream's lifetime).
 func (s *Server) route(pattern string, h http.HandlerFunc) {
-	name := "server.http.latency_ms{" + telemetry.PromLabel("route", pattern) + "}"
+	name := fmt.Sprintf("server.http.latency_ms{route=%q}", pattern)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		h(w, r)
@@ -379,26 +377,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tr.OnRecord(func(sp obs.Span) {
 		s.hists.Observe("server.phase."+sp.Name+"_ms", phaseBounds, sp.Duration().Milliseconds())
 	})
-	j := s.register(req, tr)
-	h, err := s.pool.Submit(jobqueue.Job{
-		ID:       j.id,
-		Priority: req.Priority,
-		Timeout:  time.Duration(req.TimeoutMS) * time.Millisecond,
-		Fn: func(ctx context.Context) error {
-			j.setRunning()
-			data, hit, err := s.runner(obs.With(ctx, tr), req, j.onProgress)
-			if err != nil {
-				return err
-			}
-			j.setResult(data, hit)
-			if hit {
-				s.m.cacheHits.Add(1)
-			}
-			return nil
-		},
-	})
+	j, err := s.enqueue(req, tr)
 	if err != nil {
-		s.unregister(j.id)
 		switch {
 		case errors.Is(err, jobqueue.ErrQueueFull):
 			s.m.rejectedFull.Add(1)
@@ -414,7 +394,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	j.handle = h
 	s.m.submitted.Add(1)
 	if s.logger != nil {
 		s.logger.Info("job submitted", "job_id", j.id, "trace_id", tr.ID(), "bench", req.Bench, "policy", req.Policy, "priority", req.Priority)
@@ -446,13 +425,37 @@ func (s *Server) watch(j *job) {
 	}
 }
 
-// register allocates a job record, evicting the oldest terminal record
-// beyond the retention bound.
-func (s *Server) register(req Request, tr *obs.Trace) *job {
+// enqueue allocates a job record and submits it to the pool. The record is
+// published, with its pool handle set, only once the pool has accepted the
+// job, and all of it happens under s.mu, so no handler ever sees a record
+// without a handle. Publishing evicts the oldest terminal record beyond
+// the retention bound.
+func (s *Server) enqueue(req Request, tr *obs.Trace) (*job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
 	j := newJob(fmt.Sprintf("j%06d-%s-%s", s.seq, req.Bench, req.Policy), req, tr)
+	h, err := s.pool.Submit(jobqueue.Job{
+		ID:       j.id,
+		Priority: req.Priority,
+		Timeout:  time.Duration(req.TimeoutMS) * time.Millisecond,
+		Fn: func(ctx context.Context) error {
+			j.setRunning()
+			data, hit, err := s.runner(obs.With(ctx, tr), req, j.onProgress)
+			if err != nil {
+				return err
+			}
+			j.setResult(data, hit)
+			if hit {
+				s.m.cacheHits.Add(1)
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	j.handle = h
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	for len(s.order) > s.maxJobs {
@@ -470,19 +473,7 @@ func (s *Server) register(req Request, tr *obs.Trace) *job {
 			break // everything retained is still live
 		}
 	}
-	return j
-}
-
-func (s *Server) unregister(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.jobs, id)
-	for i, o := range s.order {
-		if o == id {
-			s.order = append(s.order[:i:i], s.order[i+1:]...)
-			break
-		}
-	}
+	return j, nil
 }
 
 func (s *Server) job(id string) (*job, bool) {
@@ -517,9 +508,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
-	if j.handle != nil {
-		j.handle.Cancel()
-	}
+	j.handle.Cancel()
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
@@ -564,6 +553,8 @@ func (s *Server) handleAttrib(w http.ResponseWriter, r *http.Request) {
 	art.Attrib.WriteJSON(w)
 }
 
+// handleHealthz is the daemon's one probe: 200 while the pool accepts work,
+// 503 once it drains.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.pool.Stats()
 	status := "ok"
@@ -577,17 +568,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"queued":  st.Queued,
 		"running": st.Running,
 	})
-}
-
-// handleReadyz is the traffic-readiness probe, distinct from /healthz
-// (liveness): it answers 200 while the daemon accepts work and 503 once
-// draining starts. Smoke scripts and load balancers poll this.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	status, code := "ready", http.StatusOK
-	if s.pool.Stats().Draining {
-		status, code = "draining", http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, map[string]any{"status": status})
 }
 
 // handleSpans serves a job's trace: by default Chrome trace-event JSON
@@ -651,13 +631,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reg.Gauge("cache.mem_bytes").Set(cs.MemBytes)
 
 	s.hists.Fill(reg)
-
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		reg.WritePrometheus(w)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	reg.WriteSummary(w)

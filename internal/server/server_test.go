@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -77,11 +78,7 @@ func TestSubmitLifecycle(t *testing.T) {
 	if string(raw) != `{"ok":true}` {
 		t.Fatalf("result = %q", raw)
 	}
-	list, err := c.List(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 1 || list[0].ID != st.ID {
+	if list := listJobs(t, c); len(list) != 1 || list[0].ID != st.ID {
 		t.Fatalf("list = %+v", list)
 	}
 }
@@ -182,9 +179,9 @@ func TestClientRunCancelsAbandonedJob(t *testing.T) {
 	if _, _, err := c.Run(ctx, Request{Bench: "gzip", Policy: "postdoms"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
-	jobs, err := c.List(context.Background())
-	if err != nil || len(jobs) != 1 {
-		t.Fatalf("List = %+v, %v; want one job", jobs, err)
+	jobs := listJobs(t, c)
+	if len(jobs) != 1 {
+		t.Fatalf("jobs = %+v; want one job", jobs)
 	}
 	waitState(t, c, jobs[0].ID, "canceled")
 }
@@ -211,6 +208,45 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 	if _, err := c.ResultBytes(ctx, st.ID); err == nil {
 		t.Fatal("canceled job served a result")
+	}
+}
+
+// TestCancelDuringSubmit: a DELETE that races the submission of the job it
+// names either finds no record (404) or cancels the job. It never answers
+// 202 for a record whose pool handle is not yet set, which would cancel
+// nothing and leave the job running.
+func TestCancelDuringSubmit(t *testing.T) {
+	gate := make(chan struct{}) // never closed before cleanup: jobs end via ctx
+	defer close(gate)
+	s, c := newTestServer(t, Config{Runner: stubRunner([]byte("x"), gate)})
+	ctx := context.Background()
+	for i := 1; i <= 20; i++ {
+		id := fmt.Sprintf("j%06d-gzip-postdoms", i)
+		accepted := make(chan struct{})
+		go func() {
+			defer close(accepted)
+			for {
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/jobs/"+id, nil))
+				if rec.Code == http.StatusAccepted {
+					return
+				}
+			}
+		}()
+		st, _, err := c.Submit(ctx, Request{Bench: "gzip", Policy: "postdoms"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ID != id {
+			t.Fatalf("job ID = %q, want %q", st.ID, id)
+		}
+		<-accepted
+		wctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		fin, err := c.Wait(wctx, id, time.Millisecond)
+		cancel()
+		if err != nil || fin.State != "canceled" {
+			t.Fatalf("job %s after a 202 DELETE: state %q, %v; want canceled", id, fin.State, err)
+		}
 	}
 }
 
@@ -303,6 +339,9 @@ func TestDrainFlips503AndFinishesAccepted(t *testing.T) {
 	gate := make(chan struct{})
 	s, c := newTestServer(t, Config{Runner: stubRunner([]byte("x"), gate)})
 	ctx := context.Background()
+	if code := healthz(c); code != http.StatusOK {
+		t.Fatalf("new server: healthz = %d, want 200", code)
+	}
 	st, _, err := c.Submit(ctx, Request{Bench: "gzip", Policy: "postdoms"})
 	if err != nil {
 		t.Fatal(err)
@@ -314,8 +353,8 @@ func TestDrainFlips503AndFinishesAccepted(t *testing.T) {
 	waitFor(t, func() bool { return s.pool.Draining() }, "pool draining")
 
 	// Draining: healthz degrades and submissions answer 503.
-	if c.Healthy(ctx) {
-		t.Fatal("healthz still 200 while draining")
+	if code := healthz(c); code != http.StatusServiceUnavailable {
+		t.Fatalf("draining server: healthz = %d, want 503", code)
 	}
 	if _, code, err := c.Submit(ctx, Request{Bench: "mcf", Policy: "postdoms"}); err == nil || code != http.StatusServiceUnavailable {
 		t.Fatalf("draining submit: code=%d err=%v", code, err)
@@ -348,11 +387,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := c.Wait(ctx, st.ID, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	text, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"server.jobs.submitted", "server.jobs.succeeded", "pool.workers", "cache.misses"} {
+	text := metricsText(t, c)
+	for _, want := range []string{
+		"server.jobs.submitted", "server.jobs.succeeded", "pool.workers", "cache.misses",
+		`server.http.latency_ms{route="POST /v1/jobs"}`, "server.phase.queue_wait_ms",
+	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
 		}
@@ -503,7 +542,11 @@ func TestRealSimulationMatchesGolden(t *testing.T) {
 	if fin.CacheHit {
 		t.Fatal("cold job reported a cache hit")
 	}
-	rep, err := c.Attrib(ctx, st.ID)
+	var raw []byte
+	if _, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+st.ID+"/attrib", nil, &raw); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := attrib.ReadReport(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,16 +607,38 @@ func TestJobRetentionEvictsTerminal(t *testing.T) {
 		}
 		ids = append(ids, st.ID)
 	}
-	list, err := c.List(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) > 2 {
+	if list := listJobs(t, c); len(list) > 2 {
 		t.Fatalf("retained %d records, want <= 2", len(list))
 	}
 	if _, err := c.Status(ctx, ids[0]); err == nil {
 		t.Fatal("oldest record survived eviction")
 	}
+}
+
+// listJobs fetches every retained job, newest first.
+func listJobs(t *testing.T, c *Client) []Status {
+	t.Helper()
+	var out []Status
+	if _, err := c.do(context.Background(), http.MethodGet, "/v1/jobs", nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// metricsText fetches the /metrics text summary.
+func metricsText(t *testing.T, c *Client) string {
+	t.Helper()
+	var raw []byte
+	if _, err := c.do(context.Background(), http.MethodGet, "/metrics", nil, &raw); err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// healthz returns the /healthz status code, 0 when no answer came back.
+func healthz(c *Client) int {
+	code, _ := c.do(context.Background(), http.MethodGet, "/healthz", nil, nil)
+	return code
 }
 
 func waitState(t *testing.T, c *Client, id, want string) {

@@ -47,10 +47,7 @@ func TestDecodeOnceAcrossPolicies(t *testing.T) {
 		}
 	}
 
-	metrics, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	metrics := metricsText(t, c)
 	if got := metricValue(t, metrics, "server.traces.emu_decodes"); got != "1" {
 		t.Errorf("server.traces.emu_decodes = %s, want 1 (decode once, simulate many)", got)
 	}
@@ -88,10 +85,7 @@ func TestTraceEndpoint(t *testing.T) {
 	if _, err := c.Trace(ctx, "gzip"); err != nil {
 		t.Fatal(err)
 	}
-	metrics, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	metrics := metricsText(t, c)
 	if got := metricValue(t, metrics, "server.traces.served"); got != "2" {
 		t.Errorf("server.traces.served = %s, want 2", got)
 	}

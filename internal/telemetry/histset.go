@@ -3,14 +3,14 @@ package telemetry
 import "sync"
 
 // HistSet is a mutex-guarded collection of named histograms that may be
-// observed from concurrent goroutines — HTTP handlers, pool workers,
-// dispatchers. Registry histogram handles are deliberately single-writer
+// observed from concurrent goroutines: HTTP handlers and pool workers.
+// Registry histogram handles are deliberately single-writer
 // (they sit on the simulation hot path); HistSet is the service-side
 // counterpart: Observe takes a lock, and Fill clones a consistent snapshot
 // of every histogram into a single-writer dump registry.
 //
-// Names may carry Prometheus-style labels ("x.y_ms{route=\"POST /v1/jobs\"}");
-// WritePrometheus splits them back into a metric family plus labels.
+// Names may carry a label suffix ("x.y_ms{route=\"POST /v1/jobs\"}"), one
+// histogram per label value; WriteSummary prints each under its full name.
 type HistSet struct {
 	mu sync.Mutex
 	hs map[string]*Histogram

@@ -174,3 +174,70 @@ func TestSnapshot(t *testing.T) {
 		t.Fatalf("snapshot = %v", snap)
 	}
 }
+
+// TestEmptyHistogramMinMax: an unobserved histogram must report min=0
+// max=0, not internal sentinels, so the summary never renders min > max.
+func TestEmptyHistogramMinMax(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("empty", []int64{1, 2})
+	if h.Min() != 0 || h.Max() != 0 {
+		t.Fatalf("empty histogram min=%d max=%d, want 0/0", h.Min(), h.Max())
+	}
+	var b strings.Builder
+	if err := reg.WriteSummary(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "min=0 max=0") {
+		t.Fatalf("summary renders sentinels: %s", b.String())
+	}
+	h.Observe(-5)
+	if h.Min() != -5 || h.Max() != -5 {
+		t.Fatalf("after one sample min=%d max=%d, want -5/-5", h.Min(), h.Max())
+	}
+}
+
+// TestHistogramCloneIsIndependent guards the snapshot path: mutating the
+// original after Clone must not leak into the copy.
+func TestHistogramCloneIsIndependent(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("h", []int64{10})
+	h.Observe(5)
+	c := h.Clone()
+	h.Observe(100)
+	if c.Count() != 1 || c.Sum() != 5 {
+		t.Fatalf("clone count=%d sum=%d, want 1/5", c.Count(), c.Sum())
+	}
+	_, counts := c.Buckets()
+	if counts[0] != 1 || counts[1] != 0 {
+		t.Fatalf("clone buckets = %v", counts)
+	}
+}
+
+// TestHistSetConcurrent hammers one labeled histogram from many
+// goroutines; run under -race this is the service-side thread-safety
+// guard Registry handles deliberately do not give.
+func TestHistSetConcurrent(t *testing.T) {
+	const name = `x{route="GET /x"}`
+	hs := NewHistSet()
+	done := make(chan struct{})
+	for g := 0; g < 8; g++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < 1000; i++ {
+				hs.Observe(name, []int64{1, 10, 100}, int64(i%200))
+			}
+		}()
+	}
+	for g := 0; g < 8; g++ {
+		<-done
+	}
+	reg := NewRegistry()
+	hs.Fill(reg)
+	var b strings.Builder
+	if err := reg.WriteSummary(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "histogram "+name) || !strings.Contains(b.String(), "count=8000 ") {
+		t.Fatalf("lost samples:\n%s", b.String())
+	}
+}
