@@ -9,9 +9,12 @@ import (
 // slot is the pipeline record of one in-flight trace index. The run keeps
 // one ring of slots sized by the machine's window (ringSize), indexed
 // i & mask, instead of one array per field sized by the trace: all of an
-// instruction's fields share one cache line (the record is padded to 64
-// bytes, and the ring's backing array is page-aligned), and the storage
-// does not grow with trace length.
+// instruction's fields share one cache line (the record is 64 bytes, and
+// the ring's backing array is page-aligned), and the storage does not grow
+// with trace length.
+//
+// regProd belongs to the index, not to its pipeline state: extend derives
+// it once, when the index first enters the ring, and a squash keeps it.
 type slot struct {
 	dispC   int32
 	doneC   int32
@@ -30,12 +33,15 @@ type slot struct {
 	watchHead int32
 	watchNext int32
 
-	_ [8]byte // pads the record to one 64-byte cache line
+	// Producers of the register sources (trace.RegWriters), -1 where
+	// there is none.
+	regProd [2]int32
 }
 
-// freshSlot is the record of an index no task has fetched: the state a
-// slot takes when fetch first approaches its index and again when a
-// squash rolls it back.
+// freshSlot is the pipeline state of an index no task has fetched: the
+// state a slot takes when fetch first approaches its index and again when
+// a squash rolls it back. It carries no regProd, which extend sets and a
+// squash keeps.
 var freshSlot = slot{
 	dispC: never, doneC: never, fetchC: never, issueC: never,
 	memWait: never, memSpec: never, wakeHead: never, watchHead: never,
@@ -264,7 +270,8 @@ func (s *sim) liveFloor() int {
 // extend initializes slots from hi through at least index i (up to
 // ringBatch further), recycling only slots of indices below liveFloor. When
 // even index i would evict a live slot, the ring grows instead; a slot is
-// never aliased.
+// never aliased. Every index passes through here once, in trace order, so
+// the sim's last-writer table derives each slot's register producers.
 func (s *sim) extend(i int) {
 	hi := min(len(s.tr), i+ringBatch)
 	floor := s.liveFloor()
@@ -276,7 +283,9 @@ func (s *sim) extend(i int) {
 		s.growRing()
 	}
 	for j := s.hi; j < hi; j++ {
-		s.ring[j&s.ringMask] = freshSlot
+		sl := &s.ring[j&s.ringMask]
+		*sl = freshSlot
+		sl.regProd = s.regs.Next(j, &s.tr[j])
 	}
 	s.hi = hi
 }

@@ -120,6 +120,7 @@ type sim struct {
 	tr     []trace.Entry
 	t      *trace.Trace
 	deps   *trace.Deps
+	regs   trace.RegWriters // register last writers after the indices below hi (extend, warmup)
 	src    core.Source
 	gshare *branchpred.Gshare
 	btb    *branchpred.BTB
@@ -297,6 +298,7 @@ func newSim(tr *trace.Trace, deps *trace.Deps, src core.Source, cfg Config) *sim
 		tr:     tr.Entries,
 		t:      tr,
 		deps:   deps,
+		regs:   trace.NewRegWriters(),
 		src:    src,
 		polled: cfg.PolledScheduler,
 		gshare: branchpred.NewGshare(cfg.GshareLog2, cfg.GshareHistBits),
@@ -370,35 +372,41 @@ func (s *sim) run(ctx context.Context) (Result, error) {
 			default:
 			}
 		}
-		s.processViolations()
-		s.retire()
-		if s.polled {
-			s.issuePolled()
-		} else {
-			s.issueEvent()
-		}
-		s.moveDivertQueue()
-		s.dispatch()
-		s.fetch()
-		s.stats.TaskCycles += int64(len(s.tasks))
-		if len(s.tasks) > s.stats.PeakTasks {
-			s.stats.PeakTasks = len(s.tasks)
-		}
-		if iv := cfg.SampleInterval; iv > 0 && s.cycle > 0 && s.cycle%iv == 0 {
-			s.samples = append(s.samples, float64(s.retireIdx-s.lastSampleRet)/float64(iv))
-			s.lastSampleRet = s.retireIdx
-			if cfg.OnSample != nil {
-				cfg.OnSample(s.cycle, int64(s.retireIdx))
-			}
-		}
-		// Slow profitability recovery: disabled spawn points get periodic
-		// retries rather than being written off forever.
-		if s.cycle&8191 == 0 {
-			s.profit.decay()
-		}
-		s.cycle++
+		s.step()
 	}
 	return s.result(), nil
+}
+
+// step simulates one cycle.
+func (s *sim) step() {
+	cfg := &s.cfg
+	s.processViolations()
+	s.retire()
+	if s.polled {
+		s.issuePolled()
+	} else {
+		s.issueEvent()
+	}
+	s.moveDivertQueue()
+	s.dispatch()
+	s.fetch()
+	s.stats.TaskCycles += int64(len(s.tasks))
+	if len(s.tasks) > s.stats.PeakTasks {
+		s.stats.PeakTasks = len(s.tasks)
+	}
+	if iv := cfg.SampleInterval; iv > 0 && s.cycle > 0 && s.cycle%iv == 0 {
+		s.samples = append(s.samples, float64(s.retireIdx-s.lastSampleRet)/float64(iv))
+		s.lastSampleRet = s.retireIdx
+		if cfg.OnSample != nil {
+			cfg.OnSample(s.cycle, int64(s.retireIdx))
+		}
+	}
+	// Slow profitability recovery: disabled spawn points get periodic
+	// retries rather than being written off forever.
+	if s.cycle&8191 == 0 {
+		s.profit.decay()
+	}
+	s.cycle++
 }
 
 // ErrStalled is wrapped by the error run returns when the progress
@@ -527,13 +535,16 @@ func (s *sim) result() Result {
 // predictors without timing — the model of the paper's fast-forward through
 // each benchmark's initialization phase. The spawn source (e.g. the
 // dynamic reconvergence predictor) is deliberately NOT trained here: the
-// paper models its warm-up as a real cost.
+// paper models its warm-up as a real cost. The register last-writer table
+// advances over the warm prefix, so the first slots extend initializes get
+// the warm prefix's writers as producers.
 func (s *sim) warmup(w int) {
 	var hist uint32
 	var lastLine uint64
 	t := s.tasks[0]
 	for i := 0; i < w; i++ {
 		e := &s.tr[i]
+		s.regs.Next(i, e)
 		line := s.caches.L1I.LineOf(e.PC) + 1
 		if line != lastLine {
 			s.caches.L1I.Access(e.PC)
@@ -813,9 +824,7 @@ func (s *sim) dispatch() {
 			// consumers.
 			var prods [3]int32
 			np := 0
-			e := &s.tr[i]
-			for k := 0; k < int(e.NSrc); k++ {
-				p := s.deps.RegProd[i][k]
+			for _, p := range sl.regProd {
 				if p >= 0 && int(p) < t.start && s.dispOf(int(p)) == never {
 					prods[np] = p
 					np++
@@ -1344,7 +1353,9 @@ func (s *sim) resetRange(lo, hi int) {
 				s.unlinkWatch(int(p), int32(i))
 			}
 		}
+		prod := sl.regProd // derived from the trace, not pipeline state
 		*sl = freshSlot
+		sl.regProd = prod
 		s.stats.SquashedInstrs++
 	}
 }

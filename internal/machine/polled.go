@@ -35,9 +35,8 @@ func (s *sim) ready(i int) bool {
 	if int64(sl.dispC) >= s.cycle {
 		return false
 	}
-	e := &s.tr[i]
-	for k := 0; k < int(e.NSrc); k++ {
-		if p := int(s.deps.RegProd[i][k]); p >= 0 && !s.doneBy(p) {
+	for _, p := range sl.regProd {
+		if p >= 0 && !s.doneBy(int(p)) {
 			return false
 		}
 	}

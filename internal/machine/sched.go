@@ -46,17 +46,15 @@ const memSlot = 2
 // enterSchedulerEvent registers instruction i's outstanding producers and
 // schedules its wakeup. Counterpart of the polled path's sorted insert.
 func (s *sim) enterSchedulerEvent(i int) {
-	e := &s.tr[i]
 	sl := s.at(i)
 	pend := uint8(0)
 	ra := int32(s.cycle) + 1
-	for k := 0; k < int(e.NSrc); k++ {
-		p := int(s.deps.RegProd[i][k])
+	for k, p := range sl.regProd {
 		if p < 0 {
 			continue
 		}
-		if d := s.doneOf(p); d == never {
-			ps := s.at(p)
+		if d := s.doneOf(int(p)); d == never {
+			ps := s.at(int(p))
 			sl.wakeNext[k] = ps.wakeHead
 			ps.wakeHead = int32(i)<<2 | int32(k)
 			pend++
@@ -108,13 +106,13 @@ func (s *sim) fireWake(p int, done int32) {
 // still unknown can hold an edge for i (a completed producer consumed its
 // whole list when it issued).
 func (s *sim) unlinkWakeEdges(i int) {
-	e := &s.tr[i]
-	for k := 0; k < int(e.NSrc); k++ {
-		if p := int(s.deps.RegProd[i][k]); p >= 0 && s.doneOf(p) == never {
-			s.removeWakeEdge(p, int32(i)<<2|int32(k))
+	sl := s.at(i)
+	for k, p := range sl.regProd {
+		if p >= 0 && s.doneOf(int(p)) == never {
+			s.removeWakeEdge(int(p), int32(i)<<2|int32(k))
 		}
 	}
-	if p := int(s.at(i).memWait); p >= 0 && s.doneOf(p) == never {
+	if p := int(sl.memWait); p >= 0 && s.doneOf(p) == never {
 		s.removeWakeEdge(p, int32(i)<<2|memSlot)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -659,10 +658,4 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
-}
-
-// TestMain keeps the test binary honest about goroutine leaks at a coarse
-// level: every server started via newTestServer is closed by cleanup.
-func TestMain(m *testing.M) {
-	os.Exit(m.Run())
 }

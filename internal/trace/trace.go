@@ -2,9 +2,13 @@
 // the functional emulator, along with the derived indexes the timing model
 // and the Task Spawn Unit consume: per-PC occurrence lists (the paper's
 // spawn unit "uses a trace to ensure that tasks are not spawned too far into
-// the future") and register/memory last-writer dependence information (the
-// idealized stand-in for the compiler-generated dependence hints stored in
-// the paper's hint cache).
+// the future") and last-writer dependence information (the idealized
+// stand-in for the compiler-generated dependence hints stored in the
+// paper's hint cache). Memory producers are computed once per trace
+// (ComputeDeps); register producers are derived wherever they are read,
+// by one rule (RegWriters), so a held trace costs 32 bytes per retired
+// instruction: the 24-byte Entry, a 4-byte occurrence slot and a 4-byte
+// memory producer.
 package trace
 
 import (
@@ -300,47 +304,74 @@ func (t *Trace) BranchProfiles() map[uint64]*BranchProfile {
 	return out
 }
 
-// Deps holds, for every trace entry, the producing trace index of each of
-// its register sources and (for loads) of the most recent overlapping store.
-// An index of -1 means the value predates the trace (initial state).
+// RegWriters is the one register last-writer rule. Walked over a trace in
+// order, it gives each entry's register sources the index of the entry
+// that last wrote them, or -1 for a value that predates the trace (initial
+// state). Register producers are a pure function of the retired prefix, so
+// nothing stores them: the timing model, the trace-store encoder and its
+// decoder each walk their own table.
+type RegWriters [isa.NumRegs]int32
+
+// NewRegWriters returns the table at the start of a trace, before any
+// entry has written a register.
+func NewRegWriters() RegWriters {
+	var w RegWriters
+	for r := range w {
+		w[r] = -1
+	}
+	return w
+}
+
+// Next returns the producers of entry i's register sources (-1 beyond
+// NSrc) and then records i as the last writer of its destination. The
+// entries must be visited in trace order, each once.
+//
+// It is branch-free, since NSrc and FlagHasDst vary from entry to entry
+// and mispredict: it reads both source slots and rewrites the destination
+// slot unconditionally, which relies on every Srcs and Dst byte naming a
+// register (unused ones are 0 in every entry emu records and the decoder
+// accepts).
+func (w *RegWriters) Next(i int, e *Entry) [2]int32 {
+	p0, p1 := w[e.Srcs[0]], w[e.Srcs[1]]
+	if e.NSrc < 1 {
+		p0 = -1
+	}
+	if e.NSrc < 2 {
+		p1 = -1
+	}
+	v := int32(i)
+	if !e.HasDst() {
+		v = w[e.Dst]
+	}
+	w[e.Dst] = v
+	return [2]int32{p0, p1}
+}
+
+// Deps holds, for every trace entry, the producing trace index of its
+// memory source: for a load, the most recent overlapping store. Register
+// producers are derived from the entries instead (RegWriters).
 type Deps struct {
-	// RegProd[i][k] is the index of the entry that produced entry i's k-th
-	// register source (k < NSrc).
-	RegProd [][2]int32
 	// MemProd[i] is the index of the most recent prior store overlapping a
-	// load's bytes, or -1.
+	// load's bytes, or -1 (also for every non-load).
 	MemProd []int32
 }
 
-// ComputeDeps performs the last-writer scan. Memory dependences are tracked
-// at byte granularity, so partially overlapping accesses are handled
-// exactly; the byte table is keyed by 8-byte-aligned words (one probe per
-// word spanned instead of one per byte) in an open-addressed flat map.
+// ComputeDeps performs the memory last-writer scan. Memory dependences are
+// tracked at byte granularity, so partially overlapping accesses are
+// handled exactly; the byte table is keyed by 8-byte-aligned words (one
+// probe per word spanned instead of one per byte) in an open-addressed
+// flat map.
 func (t *Trace) ComputeDeps() *Deps {
-	n := len(t.Entries)
-	d := &Deps{
-		RegProd: make([][2]int32, n),
-		MemProd: make([]int32, n),
-	}
-	var lastReg [isa.NumRegs]int32
-	for r := range lastReg {
-		lastReg[r] = -1
-	}
+	d := &Deps{MemProd: make([]int32, len(t.Entries))}
 	ws := newWordStores(4096)
 	for i := range t.Entries {
 		e := &t.Entries[i]
-		for k := 0; k < int(e.NSrc); k++ {
-			d.RegProd[i][k] = lastReg[e.Srcs[k]]
-		}
 		d.MemProd[i] = -1
 		if e.IsLoad() {
 			d.MemProd[i] = ws.lastOverlapping(e.Addr, uint64(e.MemW))
 		}
 		if e.IsStore() {
 			ws.record(e.Addr, uint64(e.MemW), int32(i))
-		}
-		if e.HasDst() {
-			lastReg[e.Dst] = int32(i)
 		}
 	}
 	return d

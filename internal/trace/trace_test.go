@@ -84,25 +84,27 @@ func TestNextOccurrence(t *testing.T) {
 }
 
 func TestRegisterDeps(t *testing.T) {
-	tr := &Trace{Entries: []Entry{
-		alu(0x100, isa.T0),                 // 0: writes t0
-		alu(0x104, isa.T1, isa.T0),         // 1: reads t0 (from 0)
-		alu(0x108, isa.T0, isa.T1),         // 2: reads t1 (from 1), rewrites t0
-		alu(0x10c, isa.T2, isa.T0, isa.T1), // 3: t0 from 2, t1 from 1
-		alu(0x110, isa.T3, isa.T4),         // 4: t4 never written -> -1
-	}}
-	d := tr.ComputeDeps()
-	if d.RegProd[1][0] != 0 {
-		t.Fatalf("dep 1.t0 = %d, want 0", d.RegProd[1][0])
+	entries := []Entry{
+		alu(0x100, isa.T0),                      // 0: writes t0
+		alu(0x104, isa.T1, isa.T0),              // 1: reads t0 (from 0)
+		alu(0x108, isa.T0, isa.T1),              // 2: reads t1 (from 1), rewrites t0
+		alu(0x10c, isa.T2, isa.T0, isa.T1),      // 3: t0 from 2, t1 from 1
+		alu(0x110, isa.T3, isa.T4),              // 4: t4 never written -> -1
+		alu(0x114, isa.T4),                      // 5: no sources
+		store(0x118, 0x1000, 8, isa.T0, isa.SP), // 6: sp never written, t0 from 2; writes no register
 	}
-	if d.RegProd[2][0] != 1 {
-		t.Fatalf("dep 2.t1 = %d, want 1", d.RegProd[2][0])
+	want := [][2]int32{{-1, -1}, {0, -1}, {1, -1}, {2, 1}, {-1, -1}, {-1, -1}, {-1, 2}}
+	w := NewRegWriters()
+	for i := range entries {
+		if got := w.Next(i, &entries[i]); got != want[i] {
+			t.Errorf("entry %d: producers %v, want %v", i, got, want[i])
+		}
 	}
-	if d.RegProd[3][0] != 2 || d.RegProd[3][1] != 1 {
-		t.Fatalf("dep 3 = %v, want [2 1]", d.RegProd[3])
-	}
-	if d.RegProd[4][0] != -1 {
-		t.Fatalf("dep on initial state must be -1")
+	// The table now holds each register's last writer.
+	for r, wantW := range map[isa.Reg]int32{isa.T0: 2, isa.T1: 1, isa.T2: 3, isa.T3: 4, isa.T4: 5, isa.T5: -1, isa.Zero: -1} {
+		if w[r] != wantW {
+			t.Errorf("last writer of %v = %d, want %d", r, w[r], wantW)
+		}
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // distinct-PC tables — never per entry or per frame — so a 100000-entry
 // prefix of gzip's trace allocates no more than a 2000-entry one, give or
 // take the logarithmic PC-table growth. Decode's bytes are bounded too:
-// a 24-byte entry, its 4-byte occurrence slot and 12 bytes of dependences
-// make 40 per entry.
+// a 24-byte entry, its 4-byte occurrence slot and its 4-byte memory
+// producer make 32 per entry; register producers are checked, not kept.
 func TestCodecAllocs(t *testing.T) {
 	const slack = 4
 	var decodeBytes uint64
@@ -47,7 +47,7 @@ func TestCodecAllocs(t *testing.T) {
 		}
 		t.Logf("%s: %.0f allocations over %d entries, %.0f over %d", name, long[k], longN, short[k], shortN)
 	}
-	const maxBytesPerEntry = 41
+	const maxBytesPerEntry = 33
 	if perEntry := float64(decodeBytes) / float64(longN); perEntry > maxBytesPerEntry {
 		t.Errorf("Decode: %d bytes over %d entries, %.1f per entry, want at most %d", decodeBytes, longN, perEntry, maxBytesPerEntry)
 	} else {

@@ -76,14 +76,16 @@ func (r *Reader) parser() *parser {
 
 // Load decodes the whole stream: entries and End, the occurrence index
 // (installed into the returned Trace, so NextOccurrence skips the
-// rebuild), and the dependence information. Every next-PC delta must
-// lead to the PC of the entry after it (the last one gives End), and the
-// occurrence index and every register producer are checked exactly
+// rebuild), and the memory dependences. Every next-PC delta must lead to
+// the PC of the entry after it (the last one gives End), and the
+// occurrence index and every stored register producer are checked exactly
 // against the decoded entries; memory producers are range-checked only
-// (an exact check would need ComputeDeps' store table). So a successful
-// Load returns exactly the entries, End, index and register dependences
-// the emulator pipeline would have produced; any inconsistency,
-// truncation, or checksum failure returns an error wrapping ErrCorrupt.
+// (an exact check would need ComputeDeps' store table). Register
+// producers are checked, not kept: trace.RegWriters derives them again
+// wherever they are read. So a successful Load returns exactly the
+// entries, End and index the emulator pipeline would have produced; any
+// inconsistency, truncation, or checksum failure returns an error
+// wrapping ErrCorrupt.
 func (r *Reader) Load() (*trace.Trace, *trace.Deps, error) {
 	p := r.parser()
 	if err := p.header(); err != nil {
@@ -563,32 +565,26 @@ func (o *occDecoder) finish() error {
 }
 
 // depDecoder accumulates the dependence section across its frames,
-// resuming at entry i. Every register producer must equal the last writer
-// of its source register, tracked in lastReg exactly as trace.ComputeDeps
-// does; memory producers are only range-checked. Every entry is visited
-// exactly once, so it also checks that the entry retires at the PC of the
-// occurrence list claiming it (occDecoder.owner, in MemProd), and gives
-// non-loads their -1 memory producer.
+// resuming at entry i. Every stored register producer must equal the one
+// regs, the trace.RegWriters rule, derives, and is then dropped; memory
+// producers are only range-checked. Every entry is visited exactly once,
+// so it also checks that the entry retires at the PC of the occurrence
+// list claiming it (occDecoder.owner, in MemProd), and gives non-loads
+// their -1 memory producer.
 type depDecoder struct {
 	entries []trace.Entry
 	pcs     []uint64 // the occurrence section's PCs, for the owner check
 	d       trace.Deps
 	i       int
-	lastReg [isa.NumRegs]int32
+	regs    trace.RegWriters
 }
 
 func newDepDecoder(entries []trace.Entry) *depDecoder {
-	dd := &depDecoder{
+	return &depDecoder{
 		entries: entries,
-		d: trace.Deps{
-			RegProd: make([][2]int32, len(entries)),
-			MemProd: make([]int32, len(entries)),
-		},
+		d:       trace.Deps{MemProd: make([]int32, len(entries))},
+		regs:    trace.NewRegWriters(),
 	}
-	for r := range dd.lastReg {
-		dd.lastReg[r] = -1
-	}
-	return dd
 }
 
 // frame parses one dependence frame.
@@ -604,16 +600,15 @@ func (dd *depDecoder) frame(p []byte, count int) error {
 		if pc := dd.pcs[dd.d.MemProd[i]-1]; e.PC != pc {
 			return corruptf("occurrence index %d claims PC %#x, entry has %#x", i, pc, e.PC)
 		}
+		want := dd.regs.Next(i, e)
 		for k := 0; k < int(e.NSrc); k++ {
 			u, pos = uvarintAt(p, pos)
-			prod, want := int64(i)+unzigzag(u), dd.lastReg[e.Srcs[k]]
-			if prod != int64(want) {
+			if prod := int64(i) + unzigzag(u); prod != int64(want[k]) {
 				if bad(p, pos) {
 					return malformed(fmt.Sprintf("dependences of entry %d", i))
 				}
-				return corruptf("entry %d: register producer %d, but %v was last written by %d", i, prod, e.Srcs[k], want)
+				return corruptf("entry %d: register producer %d, but %v was last written by %d", i, prod, e.Srcs[k], want[k])
 			}
-			dd.d.RegProd[i][k] = want
 		}
 		dd.d.MemProd[i] = -1
 		if e.Flags&trace.FlagLoad != 0 {
@@ -626,9 +621,6 @@ func (dd *depDecoder) frame(p []byte, count int) error {
 				return corruptf("entry %d: memory producer %d out of range", i, prod)
 			}
 			dd.d.MemProd[i] = int32(prod)
-		}
-		if e.Flags&trace.FlagHasDst != 0 {
-			dd.lastReg[e.Dst] = int32(i)
 		}
 	}
 	dd.i = i

@@ -40,13 +40,15 @@
 // its ascending occurrence-index list (absolute first index, then varint
 // deltas). Dependence frames serialize, for entry i, the producing trace
 // index of each register source and (for loads) of the most recent
-// overlapping store, as zigzag varints relative to i. The reader checks
-// the next-PC chain, the occurrence index and every register producer
-// exactly against the decoded entries (the last through a last-writer
-// table, as trace.ComputeDeps derives them); memory producers are only
-// range-checked, since an exact check would need ComputeDeps' store
-// table. The checksums guard integrity, not authenticity — the artifact
-// cache's content addressing covers the rest.
+// overlapping store, as zigzag varints relative to i. A trace.Deps holds
+// only the memory producers: Encode derives the register producers it
+// writes with trace.RegWriters, and the reader checks each stored one
+// against the same rule and keeps none. The reader checks the next-PC
+// chain, the occurrence index and every register producer exactly
+// against the decoded entries; memory producers are only range-checked,
+// since an exact check would need ComputeDeps' store table. The checksums
+// guard integrity, not authenticity — the artifact cache's content
+// addressing covers the rest.
 //
 // Encode writes each section in one pass straight into its presized
 // output, and writes the occurrence section from the trace's own index:

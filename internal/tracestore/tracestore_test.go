@@ -164,7 +164,7 @@ func TestUnencodableEntries(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			tr := &trace.Trace{Entries: []trace.Entry{base, e}, End: 12}
-			d := &trace.Deps{RegProd: make([][2]int32, 2), MemProd: []int32{-1, -1}}
+			d := &trace.Deps{MemProd: []int32{-1, -1}}
 			if _, err := Encode(tr, d); !errors.Is(err, ErrUnencodable) {
 				t.Fatalf("got %v, want ErrUnencodable", err)
 			}
@@ -178,7 +178,7 @@ func TestUnencodableEntries(t *testing.T) {
 
 func TestEncodeValidatesDeps(t *testing.T) {
 	tr, _ := synthTrace()
-	short := &trace.Deps{RegProd: make([][2]int32, 2), MemProd: make([]int32, 2)}
+	short := &trace.Deps{MemProd: make([]int32, 2)}
 	if _, err := Encode(tr, short); !errors.Is(err, ErrUnencodable) {
 		t.Fatalf("short deps: got %v, want ErrUnencodable", err)
 	}
@@ -187,8 +187,6 @@ func TestEncodeValidatesDeps(t *testing.T) {
 	}
 
 	for name, forge := range map[string]func(d *trace.Deps){
-		"future register producer":    func(d *trace.Deps) { d.RegProd[1][0] = 5 },
-		"producer beyond NSrc":        func(d *trace.Deps) { d.RegProd[2][1] = 1 },
 		"future memory producer":      func(d *trace.Deps) { d.MemProd[2] = 3 },
 		"memory producer on non-load": func(d *trace.Deps) { d.MemProd[3] = 0 },
 	} {

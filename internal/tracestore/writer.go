@@ -36,14 +36,15 @@ const (
 // GET /v1/traces/{bench}. Each section is written in one pass straight
 // into the presized output. The occurrence section comes from the trace's
 // own index (restored by a decode, or built by the simulator); a trace
-// without one gets it built by internal/trace for this call only. Encode
-// fails with ErrUnencodable when an entry (or an empty trace's End)
-// carries state the format would silently drop, or when d is not a
+// without one gets it built by internal/trace for this call only, and the
+// register producers come from trace.RegWriters. Encode fails with
+// ErrUnencodable when an entry (or an empty trace's End) carries state the
+// format would silently drop, or when d's memory producers are not a
 // plausible dependence product of t, so every encoded stream decodes back
 // to exactly the input.
 func Encode(t *trace.Trace, d *trace.Deps) ([]byte, error) {
 	n := len(t.Entries)
-	if d == nil || len(d.RegProd) != n || len(d.MemProd) != n {
+	if d == nil || len(d.MemProd) != n {
 		return nil, unencodablef("deps cover %d entries, trace has %d", depsLen(d), n)
 	}
 	b := make([]byte, 0, 64+n*encodedBytesPerEntry)
@@ -184,27 +185,19 @@ func appendOcc(b []byte, t *trace.Trace) []byte {
 }
 
 // appendDeps writes the dependence frames: per entry, each register
-// source's producer and (for loads) the memory producer, as zigzag
-// varints relative to the consuming index. It checks what the encoding
-// relies on — producers precede their consumer, and no producer is set
-// where the entry has no such source.
+// source's producer, derived by trace.RegWriters, and (for loads) the
+// memory producer from d, as zigzag varints relative to the consuming
+// index. It checks what the encoding relies on — a memory producer
+// precedes its load, and no non-load carries one.
 func appendDeps(b []byte, entries []trace.Entry, d *trace.Deps) ([]byte, error) {
 	b, start := beginFrame(b, indexHeaderRoom)
 	frameN := 0
+	regs := trace.NewRegWriters()
 	for i := range entries {
 		e := &entries[i]
-		nsrc := int(e.NSrc)
-		reg, mem := &d.RegProd[i], d.MemProd[i]
-		for k := 0; k < nsrc; k++ {
-			if reg[k] < -1 || int(reg[k]) >= i {
-				return nil, unencodablef("entry %d: register producer %d out of range", i, reg[k])
-			}
+		reg, mem := regs.Next(i, e), d.MemProd[i]
+		for k := 0; k < int(e.NSrc); k++ {
 			b = appendUvarint(b, zigzag(int64(reg[k])-int64(i)))
-		}
-		for k := nsrc; k < 2; k++ {
-			if reg[k] != 0 {
-				return nil, unencodablef("entry %d: register producer beyond NSrc is set", i)
-			}
 		}
 		if e.IsLoad() {
 			if mem < -1 || int(mem) >= i {
@@ -228,5 +221,5 @@ func depsLen(d *trace.Deps) int {
 	if d == nil {
 		return 0
 	}
-	return len(d.RegProd)
+	return len(d.MemProd)
 }

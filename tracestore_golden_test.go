@@ -131,7 +131,7 @@ func TestTraceFormatGolden(t *testing.T) {
 			t.Fatalf("fixture entry %d differs", i)
 		}
 	}
-	if len(decDeps.RegProd) != len(deps.RegProd) {
+	if len(decDeps.MemProd) != len(deps.MemProd) {
 		t.Fatal("fixture deps length differs")
 	}
 }
